@@ -56,9 +56,7 @@ class RunConfig:
     def __post_init__(self):
         if self.p > self.max_p:
             raise ValueError(f"p={self.p} exceeds --max-p={self.max_p}")
-        ctx = PrimeContext(self.p)  # raises for non-prime / small p
-        if not 0 <= self.c <= ctx.d - 1:
-            raise ValueError(f"need 0 <= c <= {ctx.d - 1} for p={self.p}, got c={self.c}")
+        PrimeContext(self.p).rank(self.c)  # raises for non-prime / small p, bad c
         if self.N < 0:
             raise ValueError("truncation depth must be >= 0")
         bad = set(self.word) - set(WORD_ALPHABET)

@@ -1,24 +1,27 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p) and the ring Z[zeta_p].
+"""Exact arithmetic in the ring of integers Z[zeta_p].
 
-Values are coefficient vectors over the power basis 1, zeta, ..., zeta^(p-2),
-kept canonical through the relation zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
-Equality is coefficientwise, and an element is an algebraic integer exactly
-when every coefficient is an integer (Z[zeta_p] is the full ring of integers,
-so no hidden denominators can occur).
+Values are integer coefficient vectors over the power basis 1, zeta, ...,
+zeta^(p-2), kept canonical through the relation
+zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  Equality is coefficientwise.
+Z[zeta_p] is the full ring of integers of Q(zeta_p), and every object of the
+package lives in it, so no denominators are ever carried.
 
 The element h = 1 - zeta generates the unique prime ideal above p, with
-(h)^(p-1) = (p).  Exact division, h-adic valuations and truncated digit
-expansions -- the finite rings Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the
-field F_p via zeta -> 1 -- are all decided here by field inversion (extended
-gcd against the p-th cyclotomic polynomial) followed by an integrality check.
+(h)^(p-1) = (p).  Exact division goes through the Galois norm: y times the
+product of its other conjugates sigma_k(y), each a permutation of
+coefficients, is the integer N(y), so x/y is x times that cofactor divided
+by N(y), and exists exactly when every coefficient is divisible.  The h-adic
+valuations and truncated digit expansions -- the finite rings
+Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the field F_p via zeta -> 1 -- use
+the O(p) synthetic division by h instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 
 def _is_prime(n: int) -> bool:
@@ -48,6 +51,13 @@ class PrimeContext:
     def d(self) -> int:
         return (self.p - 1) // 2
 
+    def rank(self, c: int) -> int:
+        """d - c, the rank of the module with boundary color 2c; the one
+        check of the range 0 <= c <= d-1."""
+        if not 0 <= c <= self.d - 1:
+            raise ValueError(f"need 0 <= c <= {self.d - 1} for p={self.p}, got c={c}")
+        return self.d - c
+
     def zero(self) -> "CycNum":
         return CycNum(self, (0,) * (self.p - 1))
 
@@ -56,15 +66,6 @@ class PrimeContext:
 
     def from_int(self, n: int) -> "CycNum":
         return CycNum(self, (n,) + (0,) * (self.p - 2))
-
-    def from_fractions(self, coeffs) -> "CycNum":
-        """Build an element from p-1 rational coefficients (power basis)."""
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != self.p - 1:
-            raise ValueError(f"need {self.p - 1} coefficients, got {len(coeffs)}")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = tuple(int(c * den) for c in coeffs)
-        return CycNum(self, nums, den)
 
     def zeta_pow(self, k: int) -> "CycNum":
         """zeta^k as a canonical basis vector (k may be any integer)."""
@@ -82,37 +83,20 @@ class PrimeContext:
 
 
 class CycNum:
-    """An element of Q(zeta_p), stored as integer coefficients over a common
-    positive denominator.  Instances are immutable and hashable."""
+    """An element of Z[zeta_p], stored as integer coefficients over the power
+    basis.  Instances are immutable and hashable."""
 
-    __slots__ = ("ctx", "nums", "den")
+    __slots__ = ("ctx", "nums")
 
-    def __init__(self, ctx: PrimeContext, nums, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        nums = tuple(nums)
+    def __init__(self, ctx: PrimeContext, nums):
+        nums = tuple(map(index, nums))  # TypeError for a non-integer coefficient
         if len(nums) != ctx.p - 1:
             raise ValueError(f"need {ctx.p - 1} coefficients, got {len(nums)}")
-        if den < 0:
-            nums = tuple(-n for n in nums)
-            den = -den
-        g = math.gcd(den, *nums)
-        if g > 1:
-            nums = tuple(n // g for n in nums)
-            den //= g
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def __bool__(self) -> bool:
         return any(self.nums)
@@ -121,21 +105,19 @@ class CycNum:
         other = _coerce(self.ctx, other)
         if other is NotImplemented:
             return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        return self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ctx.p, self.nums, self.den))
+        return hash((self.ctx.p, self.nums))
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.ctx, tuple(-n for n in self.nums), self.den)
+        return CycNum(self.ctx, tuple(-n for n in self.nums))
 
     def __add__(self, other) -> "CycNum":
         other = _coerce(self.ctx, other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.den, other.den
-        nums = tuple(x * b + y * a for x, y in zip(self.nums, other.nums))
-        return CycNum(self.ctx, nums, a * b)
+        return CycNum(self.ctx, tuple(x + y for x, y in zip(self.nums, other.nums)))
 
     __radd__ = __add__
 
@@ -167,13 +149,16 @@ class CycNum:
         # ... then eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
         top = acc[p - 1]
         nums = tuple(acc[i] - top for i in range(p - 1))
-        return CycNum(self.ctx, nums, self.den * other.den)
+        return CycNum(self.ctx, nums)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:
-            return field_inverse(self) ** (-k)
+            inv = exact_div(self.ctx.one(), self)
+            if inv is None:
+                raise ValueError(f"{self!r} is not a unit of Z[zeta_p]")
+            return inv ** (-k)
         result = self.ctx.one()
         base = self
         while k:
@@ -184,11 +169,7 @@ class CycNum:
         return result
 
     def __repr__(self):
-        terms = []
-        for i, n in enumerate(self.nums):
-            if n:
-                c = n if self.den == 1 else Fraction(n, self.den)
-                terms.append(f"{c}" if i == 0 else f"{c}*z^{i}")
+        terms = [f"{n}" if i == 0 else f"{n}*z^{i}" for i, n in enumerate(self.nums) if n]
         body = " + ".join(terms) if terms else "0"
         return f"CycNum(p={self.ctx.p}: {body})"
 
@@ -200,68 +181,28 @@ def _coerce(ctx: PrimeContext, value):
         return value
     if isinstance(value, int):
         return ctx.from_int(value)
-    if isinstance(value, Fraction):
-        return CycNum(ctx, (value.numerator,) + (0,) * (ctx.p - 2), value.denominator)
     return NotImplemented
 
 
-# ---------------------------------------------------------------------------
-# field inversion: extended gcd against Phi_p(X) = 1 + X + ... + X^(p-1)
-# over exact rationals.  Phi_p is irreducible, so the gcd with any nonzero
-# element is a nonzero constant.
-
-def _pdeg(f):
-    for i in range(len(f) - 1, -1, -1):
-        if f[i]:
-            return i
-    return -1
-
-
-def _pdivmod(a, b):
-    db = _pdeg(b)
-    lead = b[db]
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_pdeg(r), db - 1, -1):
-        if r[i]:
-            coef = r[i] / lead
-            q[i - db] = coef
-            for j in range(db + 1):
-                r[i - db + j] -= coef * b[j]
-    return q, r
-
-
-def _pmulsub(t0, q, t1):
-    # t0 - q * t1
-    out = [Fraction(0)] * max(len(t0), len(q) + len(t1) - 1)
-    for i, c in enumerate(t0):
-        out[i] += c
-    for i, qi in enumerate(q):
-        if qi:
-            for j, tj in enumerate(t1):
-                if tj:
-                    out[i + j] -= qi * tj
-    return out
+def _conjugate(y: CycNum, k: int) -> CycNum:
+    """sigma_k(y), the image of y under zeta -> zeta^k (k prime to p): a
+    permutation of the p coefficients of the unreduced form."""
+    p = y.ctx.p
+    acc = [0] * p
+    for i, a in enumerate(y.nums):
+        acc[i * k % p] = a
+    top = acc[p - 1]
+    return CycNum(y.ctx, tuple(acc[i] - top for i in range(p - 1)))
 
 
 @lru_cache(maxsize=None)
-def field_inverse(x: CycNum) -> CycNum:
-    """The inverse of a nonzero element of Q(zeta_p)."""
-    if not x:
-        raise ZeroDivisionError("inverse of zero")
-    p = x.ctx.p
-    r0 = [Fraction(1)] * p
-    r1 = [Fraction(n, x.den) for n in x.nums]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while _pdeg(r1) >= 0:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _pmulsub(t0, q, t1)
-    # r0 is a nonzero constant c with t0 * x == c (mod Phi_p)
-    c = r0[0]
-    inv = [t / c for t in t0]
-    inv += [Fraction(0)] * (p - 1 - len(inv))
-    return x.ctx.from_fractions(inv[: p - 1])
+def _cofactor(y: CycNum) -> tuple[CycNum, int]:
+    """(c, N(y)) with c = prod_{k=2}^{p-1} sigma_k(y), so y * c = N(y), the
+    Galois norm: a positive integer, as the field is totally complex."""
+    c = y.ctx.one()
+    for k in range(2, y.ctx.p):
+        c = c * _conjugate(y, k)
+    return c, (y * c).nums[0]
 
 
 def exact_div(x: CycNum, y: CycNum) -> CycNum | None:
@@ -269,28 +210,47 @@ def exact_div(x: CycNum, y: CycNum) -> CycNum | None:
     divide x there.  Division by zero raises, it is not a missing quotient."""
     if not y:
         raise ZeroDivisionError("exact_div by zero")
-    q = x * field_inverse(y)
-    return q if q.is_integral() else None
+    c, norm = _cofactor(y)
+    quot = []
+    for n in (x * c).nums:
+        q, r = divmod(n, norm)
+        if r:
+            return None
+        quot.append(q)
+    return CycNum(x.ctx, quot)
+
+
+def div_h(x: CycNum) -> CycNum | None:
+    """x / h when h divides x, else None; O(p) synthetic division.
+
+    From q * (1 - zeta) = x: the top coefficient of q is s/p, where s is
+    the coefficient sum of x (so h | x exactly when p | s), and q is the
+    running sum of x_i - s/p.
+    """
+    top, r = divmod(sum(x.nums), x.ctx.p)
+    if r:
+        return None
+    quot, acc = [], 0
+    for n in x.nums:
+        acc += n - top
+        quot.append(acc)
+    return CycNum(x.ctx, quot)
 
 
 def h_valuation(x: CycNum):
-    """The h-adic valuation of an integral element (math.inf for 0).
+    """The h-adic valuation of x (math.inf for 0).
 
     Well defined because h generates a prime ideal; computed by repeated
-    exact division, which terminates since (h^(p-1)) = (p).
+    division by h, which terminates since (h^(p-1)) = (p).
     """
-    if not x.is_integral():
-        raise ValueError("h_valuation needs an element of Z[zeta_p]")
     if not x:
         return math.inf
-    h = x.ctx.h
     v = 0
-    while True:
-        q = exact_div(x, h)
-        if q is None:
-            return v
+    x = div_h(x)
+    while x is not None:
         v += 1
-        x = q
+        x = div_h(x)
+    return v
 
 
 def is_associate(x: CycNum, y: CycNum) -> bool:
@@ -302,9 +262,7 @@ def is_associate(x: CycNum, y: CycNum) -> bool:
 
 
 def reduce_mod_h(x: CycNum) -> int:
-    """The image of an integral element in Z[zeta_p]/(h) = F_p (zeta -> 1)."""
-    if not x.is_integral():
-        raise ValueError("reduce_mod_h needs an element of Z[zeta_p]")
+    """The image of x in Z[zeta_p]/(h) = F_p (zeta -> 1)."""
     return sum(x.nums) % x.ctx.p
 
 
@@ -352,7 +310,7 @@ class HDigits:
 
 
 def truncate(x: CycNum, N: int) -> HDigits:
-    """The h-adic digits of an integral element through h^N.
+    """The h-adic digits of x through h^N.
 
     Digit extraction peels one layer at a time: d_0 is the mod-h reduction,
     and x - d_0 is then exactly divisible by h.  Truncation at every level N
@@ -360,14 +318,10 @@ def truncate(x: CycNum, N: int) -> HDigits:
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    if not x.is_integral():
-        raise ValueError("truncate needs an element of Z[zeta_p]")
-    ctx = x.ctx
-    h = ctx.h
     digits = []
     for _ in range(N + 1):
         d = reduce_mod_h(x)
         digits.append(d)
-        x = exact_div(x - ctx.from_int(d), h)
+        x = div_h(x - d)
         assert x is not None  # x - (x mod h) is divisible by h
-    return HDigits(ctx.p, tuple(digits))
+    return HDigits(x.ctx.p, tuple(digits))

@@ -130,7 +130,7 @@ def rho0_matrices(ctx: PrimeContext, c: int) -> tuple[FpMatrix, FpMatrix]:
     """
     qs = scalars(ctx)
     p = ctx.p
-    rank = ctx.d - c
+    rank = ctx.rank(c)
     t_red = FpMatrix(p, t_matrix(qs, c).reduce_mod_h())
     s_red = FpMatrix(p, tstar_matrix(qs, c).reduce_mod_h())
     t_hat = FpMatrix(p, tuple(
@@ -177,7 +177,7 @@ def phi_matrix(ctx: PrimeContext, c: int) -> FpMatrix:
     """The diagonal intertwiner from the polynomial basis to the Q' basis:
     entry n is (-1)^n n! / (2c+2n+1)!! mod p.  Always invertible."""
     p = ctx.p
-    rank = ctx.d - c
+    rank = ctx.rank(c)
     diag = []
     for n in range(rank):
         den = int_dfact(2 * c + 2 * n + 1) % p

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CycNum, PrimeContext, field_inverse
+from .cyclotomic import CycNum, PrimeContext, exact_div
 
 
 class QScalars:
@@ -66,8 +66,8 @@ class QScalars:
         den = self.ctx.one()
         for k in range(1, m + 1):
             den = den * (self.A_pow(2 * k + 1) - 1)
-        value = num * field_inverse(den)
-        if not value.is_integral():
+        value = exact_div(num, den)
+        if value is None:
             raise ArithmeticError(f"gamma_{m} failed integrality at p={self.ctx.p}")
         return value
 

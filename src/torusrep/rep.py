@@ -10,8 +10,8 @@ triangularly and the longitudinal twist t* lower triangularly:
 with row index always written first.  The entries come in two independent
 ways: closed-form sums over quantum factorials (b_entry/a_entry, related by
 the adjointness ratio R), and multiplication by the twist element omega_+
-in the polynomial model (tstar_oracle).  Both land in Z[zeta_p], which the
-matrix type enforces entrywise.
+in the polynomial model (tstar_oracle).  Both land in Z[zeta_p], the only
+ring the entry type represents.
 
 Truncating entries h-adically yields the finite-level representations on
 matrices over Z[zeta_p]/(h^(N+1)); truncation commutes with products, so
@@ -28,7 +28,6 @@ from .cyclotomic import (
     HDigits,
     PrimeContext,
     exact_div,
-    field_inverse,
     truncate,
 )
 from .qint import QScalars
@@ -38,21 +37,17 @@ from .skein_poly import C_closed, QPoly, multiply_mod, omega_plus_poly
 class RepMatrix:
     """A (d-c) x (d-c) matrix over Z[zeta_p] in the Q' basis.
 
-    Immutable; the constructor rejects non-integral entries, so every value
-    of this type genuinely preserves the integral lattice.
+    Immutable; its entries are CycNum values, which are integral by
+    construction, so every value of this type preserves the integral lattice.
     """
 
     __slots__ = ("ctx", "c", "entries")
 
     def __init__(self, ctx: PrimeContext, c: int, entries):
-        rank = ctx.d - c
+        rank = ctx.rank(c)
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != rank or any(len(row) != rank for row in entries):
             raise ValueError(f"need a {rank}x{rank} matrix for c={c}")
-        for row in entries:
-            for e in row:
-                if not e.is_integral():
-                    raise ValueError(f"entry outside Z[zeta_p]: {e!r}")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "entries", entries)
@@ -62,7 +57,7 @@ class RepMatrix:
 
     @classmethod
     def identity(cls, ctx: PrimeContext, c: int) -> "RepMatrix":
-        rank = ctx.d - c
+        rank = ctx.rank(c)
         one, zero = ctx.one(), ctx.zero()
         return cls(ctx, c, tuple(
             tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
@@ -274,7 +269,7 @@ def a_entry(qs: QScalars, m: int, n: int, c: int) -> CycNum:
 @lru_cache(maxsize=None)
 def t_matrix(qs: QScalars, c: int) -> RepMatrix:
     """The meridinal twist on the color-2c module (upper triangular)."""
-    rank = qs.ctx.d - c
+    rank = qs.ctx.rank(c)
     return RepMatrix(qs.ctx, c, tuple(
         tuple(a_entry(qs, m, n, c) for n in range(rank)) for m in range(rank)
     ))
@@ -283,7 +278,7 @@ def t_matrix(qs: QScalars, c: int) -> RepMatrix:
 @lru_cache(maxsize=None)
 def tstar_matrix(qs: QScalars, c: int) -> RepMatrix:
     """The longitudinal twist on the color-2c module (lower triangular)."""
-    rank = qs.ctx.d - c
+    rank = qs.ctx.rank(c)
     return RepMatrix(qs.ctx, c, tuple(
         tuple(b_entry(qs, n, m, c) for m in range(rank)) for n in range(rank)
     ))
@@ -296,16 +291,18 @@ def tstar_oracle(qs: QScalars, c: int) -> RepMatrix:
     Shares no formulas with b_entry, so entrywise agreement with
     tstar_matrix cross-validates both routes."""
     ctx = qs.ctx
-    rank = ctx.d - c
-    omega = omega_plus_poly(qs)
-    fact_inv = [field_inverse(qs.brace_fact(m)) for m in range(rank)]
+    rank = ctx.rank(c)
+    omega = omega_plus_poly(qs)  # D * omega_+, D = {d-1}!
+    scale = qs.brace_fact(ctx.d - 1)
     cols = []
     for m in range(rank):
         image = multiply_mod(qs, QPoly.unit(ctx, c, m), omega)
-        # t*(Q'_m) = (Q_{m,c} * omega_+)/{m}! = sum_n coeff_n {n}!/{m}! Q'_n
-        cols.append([
-            image.coeffs[n] * qs.brace_fact(n) * fact_inv[m] for n in range(rank)
-        ])
+        # t*(Q'_m) = (Q_{m,c} * omega_+)/{m}! = sum_n coeff_n {n}!/({m}! D) Q'_n
+        den = qs.brace_fact(m) * scale
+        col = [exact_div(image.coeffs[n] * qs.brace_fact(n), den) for n in range(rank)]
+        if None in col:
+            raise ArithmeticError(f"t* oracle column {m} (c={c}) not integral at p={ctx.p}")
+        cols.append(col)
     return RepMatrix(ctx, c, tuple(
         tuple(cols[m][n] for m in range(rank)) for n in range(rank)
     ))
@@ -349,6 +346,7 @@ def eval_word(qs: QScalars, word: str, c: int, N: int | None = None):
     truncation is a ring homomorphism, this agrees with digitwise
     arithmetic at every level.
     """
+    qs.ctx.rank(c)  # ValueError for c outside 0..d-1
     bad = set(word) - set(WORD_ALPHABET)
     if bad:
         raise ValueError(f"word letters must be in {WORD_ALPHABET!r}, got {sorted(bad)}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, PrimeContext, exact_div, field_inverse
+from .cyclotomic import CycNum, PrimeContext, exact_div
 from .qint import QScalars
 
 
@@ -81,10 +81,9 @@ class QPoly:
     coeffs: tuple[CycNum, ...]
 
     def __post_init__(self):
-        if not 0 <= self.c <= self.ctx.d - 1:
-            raise ValueError(f"need 0 <= c <= {self.ctx.d - 1}, got {self.c}")
-        if len(self.coeffs) != self.ctx.d - self.c:
-            raise ValueError(f"need {self.ctx.d - self.c} coefficients")
+        rank = self.ctx.rank(self.c)
+        if len(self.coeffs) != rank:
+            raise ValueError(f"need {rank} coefficients")
 
     @classmethod
     def unit(cls, ctx: PrimeContext, c: int, n: int) -> "QPoly":
@@ -189,16 +188,20 @@ def omega_plus_coeffs(qs: QScalars) -> tuple[CycNum, ...]:
 
 
 def omega_plus_unprimed(qs: QScalars) -> tuple[CycNum, ...]:
-    """omega_+ over the plain basis Q_m: coefficient m is gamma_m/{m}!,
-    exact in Q(zeta_p) (not integral for m >= 1)."""
-    return tuple(
-        qs.gamma_m(m) * field_inverse(qs.brace_fact(m)) if m else qs.gamma_m(0)
-        for m in range(qs.ctx.d)
-    )
+    """D * omega_+ over the plain basis Q_m, with D = {d-1}!: coefficient m
+    is gamma_m * D/{m}! = gamma_m * {m+1}{m+2}...{d-1}.  omega_+ itself has
+    the non-integral coefficients gamma_m/{m}!; the scale keeps it in
+    Z[zeta_p], and users divide D out once at the end."""
+    out, tail = [], qs.ctx.one()
+    for m in range(qs.ctx.d - 1, -1, -1):
+        out.append(qs.gamma_m(m) * tail)
+        tail = tail * qs.brace(m)
+    return tuple(reversed(out))
 
 
 def omega_plus_poly(qs: QScalars) -> tuple[CycNum, ...]:
-    """omega_+ as a monomial-basis polynomial in z, degree d-1."""
+    """D * omega_+ as a monomial-basis polynomial in z, degree d-1, with
+    D = {d-1}! as in omega_plus_unprimed."""
     ctx = qs.ctx
     out = [ctx.zero()] * ctx.d
     for m, coeff in enumerate(omega_plus_unprimed(qs)):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, assume, strategies as st
@@ -7,8 +8,8 @@ from torusrep.cyclotomic import (
     CycNum,
     HDigits,
     PrimeContext,
+    div_h,
     exact_div,
-    field_inverse,
     h_valuation,
     is_associate,
     reduce_mod_h,
@@ -91,13 +92,47 @@ def test_exact_div_by_zero_is_an_error_not_none(ctx5):
     with pytest.raises(ZeroDivisionError):
         exact_div(ctx5.one(), ctx5.zero())
     with pytest.raises(ZeroDivisionError):
-        field_inverse(ctx5.zero())
+        ctx5.zero() ** -1
 
 
-@given(x=small_cycnums(5), y=small_cycnums(5))
-def test_exact_div_roundtrip(x, y):
+@given(p=st.sampled_from([5, 11]), data=st.data())
+def test_exact_div_roundtrip(p, data):
+    x, y = data.draw(small_cycnums(p)), data.draw(small_cycnums(p))
     assume(bool(y))
     assert exact_div(x * y, y) == x
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_div_h_matches_exact_div(p):
+    """The O(p) synthetic division by h against the norm route, on random
+    x (mostly not divisible) and on x*h (always divisible)."""
+    ctx = PrimeContext(p)
+    branches = set()
+
+    @given(x=small_cycnums(p), times_h=st.booleans())
+    def check(x, times_h):
+        y = x * ctx.h if times_h else x
+        got = div_h(y)
+        assert got == exact_div(y, ctx.h)
+        if times_h:
+            assert got == x
+        branches.add(got is None)
+
+    check()
+    assert branches == {True, False}
+
+
+@given(a=st.integers(-10**6, 10**6), b=st.integers(-10**4, 10**4).filter(bool),
+       p=st.sampled_from([5, 7, 11, 13]))
+def test_exact_div_of_integers_is_integer_division(a, b, p):
+    """The power basis is integral, so b divides a in Z[zeta_p] exactly when
+    it does in Z: an oracle for the None branch independent of the norm."""
+    ctx = PrimeContext(p)
+    got = exact_div(ctx.from_int(a), ctx.from_int(b))
+    if a % b:
+        assert got is None
+    else:
+        assert got == ctx.from_int(a // b)
 
 
 def test_h_valuation_basics(ctx):
@@ -114,10 +149,11 @@ def test_h_valuation_additive(x, y):
 
 
 def test_h_valuation_rejects_non_integral(ctx5):
-    half = CycNum(ctx5, (1, 0, 0, 0), 2)
-    assert not half.is_integral()
-    with pytest.raises(ValueError):
-        h_valuation(half)
+    # CycNum holds elements of Z[zeta_p] only: a rational coefficient is
+    # refused at construction, before any valuation could see it
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            h_valuation(CycNum(ctx5, (bad, 0, 0, 0)))
 
 
 def test_is_associate(ctx):
@@ -172,25 +208,28 @@ def test_reduce_mod_h(ctx):
     assert reduce_mod_h(ctx.zeta_pow(1) + ctx.zeta_pow(-1)) == 2
     x = ctx.from_int(3) - ctx.zeta_pow(1) * 9
     assert reduce_mod_h(x) == truncate(x, 6).digits[0]
-    with pytest.raises(ValueError):
-        reduce_mod_h(CycNum(ctx, (1,) + (0,) * (ctx.p - 2), 3))
+    with pytest.raises(TypeError):
+        reduce_mod_h(CycNum(ctx, (Fraction(1, 3),) + (0,) * (ctx.p - 2)))
 
 
 def test_integrality_predicate(ctx5):
-    third = CycNum(ctx5, (1, 1, 1, 1), 3)
-    assert not third.is_integral()
-    assert (third * 3).is_integral()
-    assert ctx5.from_fractions(["1/2", 0, 0, 0]) == CycNum(ctx5, (1, 0, 0, 0), 2)
+    # 1/3 is not in Z[zeta_5], while (3 + 3z + 3z^2 + 3z^3)/3 is
+    assert exact_div(ctx5.one(), ctx5.from_int(3)) is None
+    assert exact_div(CycNum(ctx5, (3, 3, 3, 3)), ctx5.from_int(3)) == CycNum(ctx5, (1, 1, 1, 1))
 
 
 def test_canonical_equality_and_hash(ctx5):
-    a = CycNum(ctx5, (2, 4, 0, 0), 2)
-    b = CycNum(ctx5, (1, 2, 0, 0), 1)
+    a = CycNum(ctx5, (1, 2, 0, 0))
+    b = ctx5.one() + 2 * ctx5.zeta_pow(1)
     assert a == b and hash(a) == hash(b)
-    assert CycNum(ctx5, (0, 0, 0, 0), 7) == ctx5.zero()
+    assert CycNum(ctx5, (0, 0, 0, 0)) == ctx5.zero()
+    # zeta^4 is stored reduced, so both spellings of it compare equal
+    assert ctx5.zeta_pow(4) == -(ctx5.one() + ctx5.zeta_pow(1) + ctx5.zeta_pow(2) + ctx5.zeta_pow(3))
 
 
 def test_negative_power_is_field_inverse(ctx5):
     u = ctx5.one() + ctx5.zeta_pow(1)  # a unit
-    assert u ** -1 == field_inverse(u)
+    assert u ** -1 * u == ctx5.one()
     assert u ** -2 * u ** 2 == ctx5.one()
+    with pytest.raises(ValueError):
+        ctx5.h ** -1  # h is not a unit: its inverse is not integral

@@ -103,7 +103,6 @@ def test_gamma_units(qs):
     assert qs.gamma_m(0) == qs.ctx.one()
     for m in range(qs.ctx.d):
         g = qs.gamma_m(m)
-        assert g.is_integral()
         assert h_valuation(g) == 0
         assert is_associate(g, qs.ctx.one())
 

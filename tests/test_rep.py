@@ -125,10 +125,11 @@ class TestMatrices:
             assert tstar_matrix(qs, c) == tstar_oracle(qs, c)
 
     def test_rejects_non_integral_entries(self, ctx5):
+        # entries are CycNum values, which refuse non-integer coefficients
+        from fractions import Fraction
         from torusrep.cyclotomic import CycNum
-        half = CycNum(ctx5, (1, 0, 0, 0), 2)
-        with pytest.raises(ValueError):
-            RepMatrix(ctx5, 1, ((half,),))
+        with pytest.raises(TypeError):
+            RepMatrix(ctx5, 1, ((CycNum(ctx5, (Fraction(1, 2), 0, 0, 0)),),))
 
     def test_truncation_commutes_with_product(self, qs):
         t = t_matrix(qs, 0)
@@ -212,3 +213,31 @@ class TestRelations:
     def test_order_wraps(self, qs):
         t = t_matrix(qs, 0)
         assert t ** (qs.ctx.p + 1) == t
+
+
+def _c_entry_points():
+    from torusrep.cli import RunConfig
+    from torusrep.cyclotomic import PrimeContext
+    from torusrep.fp_rep import phi_matrix, rho0_matrices
+    from torusrep.qint import scalars
+
+    ctx = PrimeContext(7)
+    qs = scalars(ctx)
+    return {
+        "t_matrix": lambda c: t_matrix(qs, c),
+        "tstar_matrix": lambda c: tstar_matrix(qs, c),
+        "tstar_oracle": lambda c: tstar_oracle(qs, c),
+        "identity": lambda c: RepMatrix.identity(ctx, c),
+        "eval_word": lambda c: eval_word(qs, "T", c),
+        "rho0_matrices": lambda c: rho0_matrices(ctx, c),
+        "phi_matrix": lambda c: phi_matrix(ctx, c),
+        "RunConfig": lambda c: RunConfig("matrices", 7, c),
+    }
+
+
+@pytest.mark.parametrize("c", [-1, 3], ids=["c-1", "c=d"])
+@pytest.mark.parametrize("entry", sorted(_c_entry_points()))
+def test_c_out_of_range_is_rejected_at_the_boundary(entry, c):
+    # p = 7, so d = 3 and the valid range is 0 <= c <= 2
+    with pytest.raises(ValueError, match="0 <= c <= 2"):
+        _c_entry_points()[entry](c)

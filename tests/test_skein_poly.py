@@ -184,9 +184,11 @@ def test_omega_coefficients(qs):
 
 
 def test_omega_unprimed_rescales(qs):
+    # omega_plus_unprimed carries the scale D = {d-1}!
     unprimed = omega_plus_unprimed(qs)
+    scale = qs.brace_fact(qs.ctx.d - 1)
     for m in range(qs.ctx.d):
-        assert unprimed[m] * qs.brace_fact(m) == qs.gamma_m(m)
+        assert unprimed[m] * qs.brace_fact(m) == qs.gamma_m(m) * scale
 
 
 def test_omega_poly_expands_back(qs):
