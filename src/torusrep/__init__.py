@@ -6,7 +6,6 @@ from .cyclotomic import (
     CycNum,
     HDigits,
     PrimeContext,
-    div_h,
     exact_div,
     h_valuation,
     is_associate,
@@ -51,7 +50,7 @@ from .fp_rep import (
 from .identities import krattenthaler_sum, verify_identity_grid
 
 __all__ = [
-    "CycNum", "HDigits", "PrimeContext", "div_h", "exact_div",
+    "CycNum", "HDigits", "PrimeContext", "exact_div",
     "h_valuation", "is_associate", "reduce_mod_h", "truncate",
     "QScalars", "scalars",
     "C_closed", "C_recursive", "QPoly", "expand_in_Qc", "multiply_mod",

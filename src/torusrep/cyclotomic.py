@@ -10,10 +10,10 @@ The element h = 1 - zeta generates the unique prime ideal above p, with
 (h)^(p-1) = (p).  Exact division goes through the Galois norm: y times the
 product of its other conjugates sigma_k(y), each a permutation of
 coefficients, is the integer N(y), so x/y is x times that cofactor divided
-by N(y), and exists exactly when every coefficient is divisible.  The h-adic
-valuations and truncated digit expansions -- the finite rings
-Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the field F_p via zeta -> 1 -- use
-the O(p) synthetic division by h instead.
+by N(y), and exists exactly when every coefficient is divisible.  The same
+division by h (N(h) = p) gives the h-adic valuations and the truncated digit
+expansions: the finite rings Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the
+field F_p via zeta -> 1.
 """
 
 from __future__ import annotations
@@ -139,17 +139,14 @@ class CycNum:
             return NotImplemented
         p = self.ctx.p
         a, b = self.nums, other.nums
-        # convolve, folding exponents mod p (zeta^p = 1) ...
+        # convolve, folding exponents mod p (zeta^p = 1)
         acc = [0] * p
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         acc[(i + j) % p] += ai * bj
-        # ... then eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        top = acc[p - 1]
-        nums = tuple(acc[i] - top for i in range(p - 1))
-        return CycNum(self.ctx, nums)
+        return _fold(self.ctx, acc)
 
     __rmul__ = __mul__
 
@@ -184,6 +181,13 @@ def _coerce(ctx: PrimeContext, value):
     return NotImplemented
 
 
+def _fold(ctx: PrimeContext, acc) -> CycNum:
+    """The element with the p coefficients acc over 1, zeta, ..., zeta^(p-1):
+    eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    top = acc[-1]
+    return CycNum(ctx, tuple(a - top for a in acc[:-1]))
+
+
 def _conjugate(y: CycNum, k: int) -> CycNum:
     """sigma_k(y), the image of y under zeta -> zeta^k (k prime to p): a
     permutation of the p coefficients of the unreduced form."""
@@ -191,8 +195,7 @@ def _conjugate(y: CycNum, k: int) -> CycNum:
     acc = [0] * p
     for i, a in enumerate(y.nums):
         acc[i * k % p] = a
-    top = acc[p - 1]
-    return CycNum(y.ctx, tuple(acc[i] - top for i in range(p - 1)))
+    return _fold(y.ctx, acc)
 
 
 @lru_cache(maxsize=None)
@@ -220,23 +223,6 @@ def exact_div(x: CycNum, y: CycNum) -> CycNum | None:
     return CycNum(x.ctx, quot)
 
 
-def div_h(x: CycNum) -> CycNum | None:
-    """x / h when h divides x, else None; O(p) synthetic division.
-
-    From q * (1 - zeta) = x: the top coefficient of q is s/p, where s is
-    the coefficient sum of x (so h | x exactly when p | s), and q is the
-    running sum of x_i - s/p.
-    """
-    top, r = divmod(sum(x.nums), x.ctx.p)
-    if r:
-        return None
-    quot, acc = [], 0
-    for n in x.nums:
-        acc += n - top
-        quot.append(acc)
-    return CycNum(x.ctx, quot)
-
-
 def h_valuation(x: CycNum):
     """The h-adic valuation of x (math.inf for 0).
 
@@ -245,11 +231,12 @@ def h_valuation(x: CycNum):
     """
     if not x:
         return math.inf
+    h = x.ctx.h
     v = 0
-    x = div_h(x)
+    x = exact_div(x, h)
     while x is not None:
         v += 1
-        x = div_h(x)
+        x = exact_div(x, h)
     return v
 
 
@@ -318,10 +305,11 @@ def truncate(x: CycNum, N: int) -> HDigits:
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
+    h = x.ctx.h
     digits = []
     for _ in range(N + 1):
         d = reduce_mod_h(x)
         digits.append(d)
-        x = div_h(x - d)
+        x = exact_div(x - d, h)
         assert x is not None  # x - (x mod h) is divisible by h
     return HDigits(x.ctx.p, tuple(digits))

@@ -57,7 +57,7 @@ class RepMatrix:
 
     @classmethod
     def identity(cls, ctx: PrimeContext, c: int) -> "RepMatrix":
-        rank = ctx.rank(c)
+        rank = ctx.d - c  # the constructor checks the range of c
         one, zero = ctx.one(), ctx.zero()
         return cls(ctx, c, tuple(
             tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
@@ -346,7 +346,6 @@ def eval_word(qs: QScalars, word: str, c: int, N: int | None = None):
     truncation is a ring homomorphism, this agrees with digitwise
     arithmetic at every level.
     """
-    qs.ctx.rank(c)  # ValueError for c outside 0..d-1
     bad = set(word) - set(WORD_ALPHABET)
     if bad:
         raise ValueError(f"word letters must be in {WORD_ALPHABET!r}, got {sorted(bad)}")

@@ -8,7 +8,6 @@ from torusrep.cyclotomic import (
     CycNum,
     HDigits,
     PrimeContext,
-    div_h,
     exact_div,
     h_valuation,
     is_associate,
@@ -102,18 +101,32 @@ def test_exact_div_roundtrip(p, data):
     assert exact_div(x * y, y) == x
 
 
+def _synthetic_div_h(x):
+    """x / (1 - zeta) solved directly: from q * (1 - zeta) = x, the top
+    coefficient of q is s/p, s the coefficient sum of x (so h | x exactly
+    when p | s), and q is the running sum of x_i - s/p."""
+    top, r = divmod(sum(x.nums), x.ctx.p)
+    if r:
+        return None
+    quot, acc = [], 0
+    for n in x.nums:
+        acc += n - top
+        quot.append(acc)
+    return CycNum(x.ctx, quot)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_div_h_matches_exact_div(p):
-    """The O(p) synthetic division by h against the norm route, on random
-    x (mostly not divisible) and on x*h (always divisible)."""
+def test_exact_div_by_h_matches_synthetic_division(p):
+    """The norm route divides by h as the O(p) synthetic division does, on
+    random x (mostly not divisible) and on x*h (always divisible)."""
     ctx = PrimeContext(p)
     branches = set()
 
     @given(x=small_cycnums(p), times_h=st.booleans())
     def check(x, times_h):
         y = x * ctx.h if times_h else x
-        got = div_h(y)
-        assert got == exact_div(y, ctx.h)
+        got = exact_div(y, ctx.h)
+        assert got == _synthetic_div_h(y)
         if times_h:
             assert got == x
         branches.add(got is None)
