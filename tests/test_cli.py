@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -126,3 +127,31 @@ def test_verify_skein_scope(capsys):
     code, out = run(capsys, "verify", "--p", "5", "--scope", "skein")
     assert code == 0
     assert "skein.structure_constants_agree" in out
+
+
+#: sha256 of the full stdout; any change to the printed matrices, their
+#: order or their formatting changes these digests
+GOLDEN_STDOUT = {
+    "matrices --p 13 --c 2":
+        "9da768259033c4563f45b8160ce07f903a33b77fafd9d527eb27c8af5e018b9f",
+    "matrices --p 11 --c 0 --format csv":
+        "244a9ab257711fc1d9057fb7191ae946f1ca58e3bdcbc9b9f66c1fffda8407c2",
+    "hadic --p 11 --c 1 --word TSstTTs --n-trunc 6":
+        "12914b85f29cc0a1cd9832cc844dc0a22ec4c612559a914b34d4c49e3f24690c",
+    # N >= p-1: the digits past the F_p[h] range, where carries appear
+    "hadic --p 7 --c 0 --word tSTs --n-trunc 8 --format csv":
+        "08e05ddf80333be49016c4370c9e20ee5b7385b26e134e80c46fda557d484f3a",
+    "fp --p 11 --c 1":
+        "14dd0c810dc3aac418d64f9b7ce511ad79e44079f727d34ec058e6c7a0de877f",
+    "fp --p 13 --c 0 --format csv":
+        "6c40e9426e2b9f8068b083cff66b50e7730271ca078e9c3ecf5ba3ca25dcda0a",
+    "verify --p 5 --p 7":
+        "0e9eaf5ad08bb785dbded977d7056fd87268173899d6f771435c1b15b09a4f25",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_stdout_is_byte_identical_to_golden(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
