@@ -5,7 +5,9 @@ basis, h-adic truncations, and the mod-p polynomial model."""
 from .cyclotomic import (
     CycNum,
     HDigits,
+    ModH,
     PrimeContext,
+    Truncation,
     exact_div,
     h_valuation,
     is_associate,
@@ -24,7 +26,6 @@ from .skein_poly import (
     verify_product_expansion,
 )
 from .rep import (
-    HDigitsMatrix,
     RepMatrix,
     a_entry,
     b_entry,
@@ -39,7 +40,6 @@ from .rep import (
     verify_relations,
 )
 from .fp_rep import (
-    FpMatrix,
     irreducibility_check,
     phi_matrix,
     poly_action,
@@ -50,15 +50,15 @@ from .fp_rep import (
 from .identities import krattenthaler_sum, verify_identity_grid
 
 __all__ = [
-    "CycNum", "HDigits", "PrimeContext", "exact_div",
+    "CycNum", "HDigits", "ModH", "PrimeContext", "Truncation", "exact_div",
     "h_valuation", "is_associate", "reduce_mod_h", "truncate",
     "QScalars", "scalars",
     "C_closed", "C_recursive", "QPoly", "expand_in_Qc", "multiply_mod",
     "omega_plus_coeffs", "q_poly_monomial", "verify_product_expansion",
-    "HDigitsMatrix", "RepMatrix", "a_entry", "b_entry", "eval_word",
+    "RepMatrix", "a_entry", "b_entry", "eval_word",
     "invert", "norm_Q", "norm_Qprime", "ratio_R", "t_matrix",
     "tstar_matrix", "tstar_oracle", "verify_relations",
-    "FpMatrix", "irreducibility_check", "phi_matrix", "poly_action",
+    "irreducibility_check", "phi_matrix", "poly_action",
     "rho0_matrices", "u_lemma_check", "verify_intertwine",
     "krattenthaler_sum", "verify_identity_grid",
 ]

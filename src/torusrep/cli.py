@@ -43,6 +43,13 @@ DEFAULT_PRIMES = (5, 7, 11, 13)
 _HEADER = {"basis": "Qprime", "convention": {"rows": "m", "cols": "n"}}
 
 
+def _context(p: int, max_p: int) -> PrimeContext:
+    """The context of p, refused beyond --max-p and for a non-prime or small p."""
+    if p > max_p:
+        raise ValueError(f"p={p} exceeds --max-p={max_p}")
+    return PrimeContext(p)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -54,9 +61,7 @@ class RunConfig:
     max_p: int = 101
 
     def __post_init__(self):
-        if self.p > self.max_p:
-            raise ValueError(f"p={self.p} exceeds --max-p={self.max_p}")
-        PrimeContext(self.p).rank(self.c)  # raises for non-prime / small p, bad c
+        _context(self.p, self.max_p).rank(self.c)
         if self.N < 0:
             raise ValueError("truncation depth must be >= 0")
         bad = set(self.word) - set(WORD_ALPHABET)
@@ -197,15 +202,11 @@ def _verify_fp(ctx, lines):
 
 
 def cmd_verify(p_list, scope: str, n_max: int = 12, max_p: int = 101):
-    for p in p_list:
-        if p > max_p:
-            raise ValueError(f"p={p} exceeds --max-p={max_p}")
-        PrimeContext(p)  # validates
+    contexts = [_context(p, max_p) for p in sorted(set(p_list))]
     lines = []
     all_ok = True
     if scope in ("all", "rep", "skein", "fp"):
-        for p in sorted(set(p_list)):
-            ctx = PrimeContext(p)
+        for ctx in contexts:
             qs = scalars(ctx)
             if scope in ("all", "rep"):
                 for c in range(ctx.d):

@@ -81,6 +81,25 @@ class PrimeContext:
         """h = 1 - zeta, a generator of the prime ideal above p."""
         return self.one() - self.zeta_pow(1)
 
+    def product(self, a, b):
+        """The product of two square matrices over Z[zeta_p], given as rows
+        of CycNum entries; terms with a zero factor are skipped."""
+        n = len(a)
+        cols = tuple(zip(*b))
+        rows = []
+        for i in range(n):
+            ri = a[i]
+            row = []
+            for j in range(n):
+                cj = cols[j]
+                acc = self.zero()
+                for k in range(n):
+                    if ri[k] and cj[k]:
+                        acc = acc + ri[k] * cj[k]
+                row.append(acc)
+            rows.append(tuple(row))
+        return tuple(rows)
+
 
 class CycNum:
     """An element of Z[zeta_p], stored as integer coefficients over the power
@@ -271,6 +290,9 @@ class HDigits:
     def N(self) -> int:
         return len(self.digits) - 1
 
+    def __bool__(self) -> bool:
+        return any(self.digits)
+
     def lift(self, ctx: PrimeContext | None = None) -> CycNum:
         """The canonical integral representative sum(d_i * h^i)."""
         if ctx is None:
@@ -313,3 +335,52 @@ def truncate(x: CycNum, N: int) -> HDigits:
         x = exact_div(x - d, h)
         assert x is not None  # x - (x mod h) is divisible by h
     return HDigits(x.ctx.p, tuple(digits))
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """The ring Z[zeta_p]/(h^(N+1)), whose elements are HDigits with N+1
+    digits; a matrix product lifts to Z[zeta_p] and truncates once per entry."""
+
+    ctx: PrimeContext
+    N: int
+
+    def zero(self) -> HDigits:
+        return HDigits(self.ctx.p, (0,) * (self.N + 1))
+
+    def one(self) -> HDigits:
+        return HDigits(self.ctx.p, (1,) + (0,) * self.N)
+
+    def rank(self, c: int) -> int:
+        return self.ctx.rank(c)
+
+    def product(self, a, b):
+        lift = lambda m: [[e.lift(self.ctx) for e in row] for row in m]
+        return tuple(
+            tuple(truncate(e, self.N) for e in row)
+            for row in self.ctx.product(lift(a), lift(b))
+        )
+
+
+@dataclass(frozen=True)
+class ModH:
+    """The field Z[zeta_p]/(h) = F_p, whose elements are ints in 0..p-1."""
+
+    ctx: PrimeContext
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return 1
+
+    def rank(self, c: int) -> int:
+        return self.ctx.rank(c)
+
+    def product(self, a, b):
+        p = self.ctx.p
+        cols = tuple(zip(*b))
+        return tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+            for row in a
+        )

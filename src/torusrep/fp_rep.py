@@ -4,7 +4,9 @@ Setting zeta -> 1 collapses Z[zeta_p] onto F_p and turns the twist matrices
 into unipotent triangular integer matrices t-hat and t*-hat with closed-form
 entries (signed ratios of factorials and odd double factorials).  Those are
 computed here twice -- once by reducing the exact matrices, once from the
-closed forms -- and any disagreement is treated as a hard failure.
+closed forms -- and any disagreement is treated as a hard failure.  Every
+matrix here is a RepMatrix over the ring ModH (F_p); the functions that
+build one reduce its entries to 0..p-1, and products stay reduced.
 
 The same module carries the classical action of SL(2,F_p) on homogeneous
 two-variable polynomials of degree D = d-c-1 (basis x^(D-n) y^n), the
@@ -18,72 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .cyclotomic import PrimeContext
+from .cyclotomic import ModH, PrimeContext
 from .qint import scalars
-from .rep import t_matrix, tstar_matrix
-
-
-class FpMatrix:
-    """A square matrix over F_p with entries normalized to {0..p-1}."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries):
-        entries = tuple(tuple(e % p for e in row) for row in entries)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpMatrix is immutable")
-
-    @classmethod
-    def identity(cls, p: int, size: int) -> "FpMatrix":
-        return cls(p, tuple(
-            tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-        ))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.p, self.entries))
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.size != other.size:
-            raise ValueError("incompatible matrices")
-        p, n = self.p, self.size
-        cols = tuple(zip(*other.entries))
-        return FpMatrix(p, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.entries
-        ))
-
-    def __pow__(self, k: int) -> "FpMatrix":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = FpMatrix.identity(self.p, self.size)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
-
-    def __repr__(self):
-        return f"FpMatrix(p={self.p}, {[list(r) for r in self.entries]})"
+from .rep import RepMatrix, t_matrix, tstar_matrix
 
 
 def int_dfact(n: int) -> int:
@@ -122,7 +61,7 @@ def b_hat_entry(p: int, m: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def rho0_matrices(ctx: PrimeContext, c: int) -> tuple[FpMatrix, FpMatrix]:
+def rho0_matrices(ctx: PrimeContext, c: int) -> tuple[RepMatrix, RepMatrix]:
     """(t-hat, t*-hat) on the color-2c module.
 
     Computed both as the entrywise mod-h reduction of the exact matrices and
@@ -131,12 +70,12 @@ def rho0_matrices(ctx: PrimeContext, c: int) -> tuple[FpMatrix, FpMatrix]:
     qs = scalars(ctx)
     p = ctx.p
     rank = ctx.rank(c)
-    t_red = FpMatrix(p, t_matrix(qs, c).reduce_mod_h())
-    s_red = FpMatrix(p, tstar_matrix(qs, c).reduce_mod_h())
-    t_hat = FpMatrix(p, tuple(
+    t_red = t_matrix(qs, c).reduce_mod_h()
+    s_red = tstar_matrix(qs, c).reduce_mod_h()
+    t_hat = RepMatrix(ModH(ctx), tuple(
         tuple(a_hat_entry(p, c, m, n) for n in range(rank)) for m in range(rank)
     ))
-    s_hat = FpMatrix(p, tuple(
+    s_hat = RepMatrix(ModH(ctx), tuple(
         tuple(b_hat_entry(p, m, n) for n in range(rank)) for m in range(rank)
     ))
     if t_red != t_hat or s_red != s_hat:
@@ -151,7 +90,7 @@ SL2_T = ((1, 1), (0, 1))
 SL2_TSTAR = ((1, 0), (-1, 1))
 
 
-def poly_action(p: int, g, D: int) -> FpMatrix:
+def poly_action(p: int, g, D: int) -> RepMatrix:
     """The matrix of g in SL(2,F_p) acting on homogeneous polynomials of
     degree D, basis x^(D-n) y^n:  g . x^m y^n = (ax+cy)^m (bx+dy)^n."""
     (a, b), (c, d) = g
@@ -168,12 +107,12 @@ def poly_action(p: int, g, D: int) -> FpMatrix:
                 right = comb(j, s) * pow(b, j - s, p) * pow(d, s, p)
                 vec[r + s] = (vec[r + s] + left * right) % p
         cols.append(vec)
-    return FpMatrix(p, tuple(
+    return RepMatrix(ModH(PrimeContext(p)), tuple(
         tuple(cols[j][i] for j in range(size)) for i in range(size)
     ))
 
 
-def phi_matrix(ctx: PrimeContext, c: int) -> FpMatrix:
+def phi_matrix(ctx: PrimeContext, c: int) -> RepMatrix:
     """The diagonal intertwiner from the polynomial basis to the Q' basis:
     entry n is (-1)^n n! / (2c+2n+1)!! mod p.  Always invertible."""
     p = ctx.p
@@ -185,7 +124,7 @@ def phi_matrix(ctx: PrimeContext, c: int) -> FpMatrix:
             raise ArithmeticError(f"(2c+2n+1)!! vanished mod {p} at n={n}")
         val = factorial(n) * _inv(den, p)
         diag.append(-val % p if n % 2 else val % p)
-    return FpMatrix(p, tuple(
+    return RepMatrix(ModH(ctx), tuple(
         tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
     ))
 
@@ -235,7 +174,7 @@ def irreducibility_check(ctx: PrimeContext, c: int) -> bool:
     def flatten(M):
         return [e for row in M.entries for e in row]
 
-    frontier = [FpMatrix.identity(p, size)]
+    frontier = [RepMatrix.identity(t_hat.ring, c)]
     insert(flatten(frontier[0]))
     while frontier and len(basis) < target:
         M = frontier.pop()

@@ -10,12 +10,14 @@ triangularly and the longitudinal twist t* lower triangularly:
 with row index always written first.  The entries come in two independent
 ways: closed-form sums over quantum factorials (b_entry/a_entry, related by
 the adjointness ratio R), and multiplication by the twist element omega_+
-in the polynomial model (tstar_oracle).  Both land in Z[zeta_p], the only
-ring the entry type represents.
+in the polynomial model (tstar_oracle).  Both land in Z[zeta_p].
 
-Truncating entries h-adically yields the finite-level representations on
-matrices over Z[zeta_p]/(h^(N+1)); truncation commutes with products, so
-word values may be computed exactly and truncated at the end.
+RepMatrix is the one matrix type, over any of the three rings of the
+representation: Z[zeta_p], its h-adic truncations Z[zeta_p]/(h^(N+1)) (the
+finite-level representations) and F_p = Z[zeta_p]/(h) (the mod-h layer of
+fp_rep).  Truncation and reduction mod h are entrywise ring maps that
+commute with products, so word values may be computed exactly and
+truncated at the end.
 """
 
 from __future__ import annotations
@@ -25,79 +27,62 @@ from functools import lru_cache
 
 from .cyclotomic import (
     CycNum,
-    HDigits,
+    ModH,
     PrimeContext,
+    Truncation,
     exact_div,
+    reduce_mod_h,
     truncate,
 )
 from .qint import QScalars
 from .skein_poly import C_closed, QPoly, multiply_mod, omega_plus_poly
 
 
+@dataclass(frozen=True)
 class RepMatrix:
-    """A (d-c) x (d-c) matrix over Z[zeta_p] in the Q' basis.
+    """A square matrix over one of the three rings of the representation:
+    Z[zeta_p] (ring a PrimeContext, CycNum entries), Z[zeta_p]/(h^(N+1))
+    (a Truncation, HDigits entries) or F_p (a ModH, ints in 0..p-1).
 
-    Immutable; its entries are CycNum values, which are integral by
-    construction, so every value of this type preserves the integral lattice.
+    Immutable.  The ring supplies zero(), one(), rank(c) and the matrix
+    product; products and powers stay in the ring, and only an exact matrix
+    has inverses.
     """
 
-    __slots__ = ("ctx", "c", "entries")
+    ring: object
+    entries: tuple
 
-    def __init__(self, ctx: PrimeContext, c: int, entries):
-        rank = ctx.rank(c)
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != rank or any(len(row) != rank for row in entries):
-            raise ValueError(f"need a {rank}x{rank} matrix for c={c}")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "c", c)
+    def __post_init__(self):
+        entries = tuple(tuple(row) for row in self.entries)
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMatrix is immutable")
+    @classmethod
+    def identity(cls, ring, c: int) -> "RepMatrix":
+        """The identity on the module with boundary color 2c."""
+        return cls._identity(ring, ring.rank(c))
 
     @classmethod
-    def identity(cls, ctx: PrimeContext, c: int) -> "RepMatrix":
-        rank = ctx.d - c  # the constructor checks the range of c
-        one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, c, tuple(
-            tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
+    def _identity(cls, ring, n: int) -> "RepMatrix":
+        one, zero = ring.one(), ring.zero()
+        return cls(ring, tuple(
+            tuple(one if i == j else zero for j in range(n)) for i in range(n)
         ))
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other):
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return (self.ctx, self.c, self.entries) == (other.ctx, other.c, other.entries)
-
-    def __hash__(self):
-        return hash((self.ctx, self.c, self.entries))
-
     def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
-        if self.ctx != other.ctx or self.c != other.c:
-            raise ValueError("matrices live on different modules")
-        n = self.size
-        cols = tuple(zip(*other.entries))
-        rows = []
-        for i in range(n):
-            ri = self.entries[i]
-            row = []
-            for j in range(n):
-                cj = cols[j]
-                acc = self.ctx.zero()
-                for k in range(n):
-                    if ri[k] and cj[k]:
-                        acc = acc + ri[k] * cj[k]
-                row.append(acc)
-            rows.append(tuple(row))
-        return RepMatrix(self.ctx, self.c, tuple(rows))
+        if self.ring != other.ring or self.size != other.size:
+            raise ValueError("matrices over different rings or of different sizes")
+        return RepMatrix(self.ring, self.ring.product(self.entries, other.entries))
 
     def __pow__(self, k: int) -> "RepMatrix":
         if k < 0:
             return invert(self) ** (-k)
-        result = RepMatrix.identity(self.ctx, self.c)
+        result = RepMatrix._identity(self.ring, self.size)
         base = self
         while k:
             if k & 1:
@@ -106,12 +91,22 @@ class RepMatrix:
             k >>= 1
         return result
 
-    def scale(self, s) -> "RepMatrix":
-        return RepMatrix(self.ctx, self.c, tuple(
-            tuple(e * s for e in row) for row in self.entries
-        ))
+    def _map(self, ring, f) -> "RepMatrix":
+        """The matrix over ring with entries f(e)."""
+        return RepMatrix(ring, tuple(tuple(f(e) for e in row) for row in self.entries))
 
-    def diagonal(self) -> tuple[CycNum, ...]:
+    def scale(self, s) -> "RepMatrix":
+        return self._map(self.ring, lambda e: e * s)
+
+    def truncate(self, N: int) -> "RepMatrix":
+        """Entrywise image of an exact matrix in Z[zeta_p]/(h^(N+1))."""
+        return self._map(Truncation(self.ring, N), lambda e: truncate(e, N))
+
+    def reduce_mod_h(self) -> "RepMatrix":
+        """Entrywise image of an exact matrix in F_p (zeta -> 1)."""
+        return self._map(ModH(self.ring), reduce_mod_h)
+
+    def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(self.size))
 
     def is_upper_triangular(self) -> bool:
@@ -127,50 +122,11 @@ class RepMatrix:
         )
 
     def transpose(self) -> "RepMatrix":
-        return RepMatrix(self.ctx, self.c, tuple(zip(*self.entries)))
-
-    def truncate(self, N: int) -> "HDigitsMatrix":
-        return HDigitsMatrix(
-            self.ctx.p, N, self.c,
-            tuple(tuple(truncate(e, N) for e in row) for row in self.entries),
-        )
-
-    def reduce_mod_h(self) -> tuple[tuple[int, ...], ...]:
-        """Entrywise image in F_p (zeta -> 1)."""
-        from .cyclotomic import reduce_mod_h as _red
-        return tuple(tuple(_red(e) for e in row) for row in self.entries)
+        return RepMatrix(self.ring, tuple(zip(*self.entries)))
 
     def __repr__(self):
         body = ",\n  ".join(repr(list(row)) for row in self.entries)
-        return f"RepMatrix(p={self.ctx.p}, c={self.c},\n  {body})"
-
-
-@dataclass(frozen=True)
-class HDigitsMatrix:
-    """A matrix over the truncated ring Z[zeta_p]/(h^(N+1))."""
-
-    p: int
-    N: int
-    c: int
-    entries: tuple[tuple[HDigits, ...], ...]
-
-    def __matmul__(self, other: "HDigitsMatrix") -> "HDigitsMatrix":
-        if (self.p, self.N, self.c) != (other.p, other.N, other.c):
-            raise ValueError("mismatched truncated modules")
-        ctx = PrimeContext(self.p)
-        lift = lambda M: [[e.lift(ctx) for e in row] for row in M.entries]
-        a, b = lift(self), lift(other)
-        n = len(a)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ctx.zero()
-                for k in range(n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(truncate(acc, self.N))
-            rows.append(tuple(row))
-        return HDigitsMatrix(self.p, self.N, self.c, tuple(rows))
+        return f"RepMatrix({self.ring!r},\n  {body})"
 
 
 def norm_Qprime(qs: QScalars, n: int, c: int) -> CycNum:
@@ -270,7 +226,7 @@ def a_entry(qs: QScalars, m: int, n: int, c: int) -> CycNum:
 def t_matrix(qs: QScalars, c: int) -> RepMatrix:
     """The meridinal twist on the color-2c module (upper triangular)."""
     rank = qs.ctx.rank(c)
-    return RepMatrix(qs.ctx, c, tuple(
+    return RepMatrix(qs.ctx, tuple(
         tuple(a_entry(qs, m, n, c) for n in range(rank)) for m in range(rank)
     ))
 
@@ -279,7 +235,7 @@ def t_matrix(qs: QScalars, c: int) -> RepMatrix:
 def tstar_matrix(qs: QScalars, c: int) -> RepMatrix:
     """The longitudinal twist on the color-2c module (lower triangular)."""
     rank = qs.ctx.rank(c)
-    return RepMatrix(qs.ctx, c, tuple(
+    return RepMatrix(qs.ctx, tuple(
         tuple(b_entry(qs, n, m, c) for m in range(rank)) for n in range(rank)
     ))
 
@@ -303,19 +259,21 @@ def tstar_oracle(qs: QScalars, c: int) -> RepMatrix:
         if None in col:
             raise ArithmeticError(f"t* oracle column {m} (c={c}) not integral at p={ctx.p}")
         cols.append(col)
-    return RepMatrix(ctx, c, tuple(
+    return RepMatrix(ctx, tuple(
         tuple(cols[m][n] for m in range(rank)) for n in range(rank)
     ))
 
 
 def invert(M: RepMatrix) -> RepMatrix:
-    """Exact inverse of a triangular matrix whose diagonal entries are
-    units of Z[zeta_p], by back substitution."""
+    """Exact inverse of a triangular matrix over Z[zeta_p] whose diagonal
+    entries are units, by back substitution."""
+    if not isinstance(M.ring, PrimeContext):
+        raise ValueError("only a matrix over Z[zeta_p] is inverted")
     if M.is_lower_triangular() and not M.is_upper_triangular():
         return invert(M.transpose()).transpose()
     if not M.is_upper_triangular():
         raise ValueError("matrix is not triangular")
-    ctx, n = M.ctx, M.size
+    ctx, n = M.ring, M.size
     one, zero = ctx.one(), ctx.zero()
     dinv = []
     for i in range(n):
@@ -331,7 +289,7 @@ def invert(M: RepMatrix) -> RepMatrix:
             for k in range(i + 1, j + 1):
                 acc = acc + M.entries[i][k] * X[k][j]
             X[i][j] = -(dinv[i] * acc)
-    return RepMatrix(ctx, M.c, tuple(tuple(row) for row in X))
+    return RepMatrix(ctx, X)
 
 
 #: Word alphabet: uppercase letters are the twists, lowercase their inverses.

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from torusrep.cyclotomic import PrimeContext
+from torusrep.cyclotomic import ModH, PrimeContext
 from torusrep.fp_rep import (
     SL2_T,
     SL2_TSTAR,
-    FpMatrix,
     a_hat_entry,
     b_hat_entry,
     int_dfact,
@@ -17,6 +16,7 @@ from torusrep.fp_rep import (
     u_lemma_check,
     verify_intertwine,
 )
+from torusrep.rep import RepMatrix
 
 
 def primes_up_to(n):
@@ -69,7 +69,7 @@ def test_rho0_satisfies_relations(ctx):
     """Over F_p the central scalar collapses to 1, so (t t* t)^4 = I."""
     for c in range(ctx.d):
         t_hat, s_hat = rho0_matrices(ctx, c)
-        ident = FpMatrix.identity(ctx.p, ctx.d - c)
+        ident = RepMatrix.identity(ModH(ctx), c)
         assert t_hat @ s_hat @ t_hat == s_hat @ t_hat @ s_hat
         assert (t_hat @ s_hat @ t_hat) ** 4 == ident
         assert t_hat ** ctx.p == ident
@@ -77,8 +77,9 @@ def test_rho0_satisfies_relations(ctx):
 
 
 def test_poly_action_identity(ctx):
-    for D in (0, 1, ctx.d - 1):
-        assert poly_action(ctx.p, ((1, 0), (0, 1)), D) == FpMatrix.identity(ctx.p, D + 1)
+    for c in (ctx.d - 1, ctx.d - 2, 0):  # D = d-c-1 in (0, 1, d-1)
+        D = ctx.d - c - 1
+        assert poly_action(ctx.p, ((1, 0), (0, 1)), D) == RepMatrix.identity(ModH(ctx), c)
 
 
 def test_poly_action_generators(ctx):
@@ -166,9 +167,10 @@ def test_u_lemma_all_small_primes():
             assert u_lemma_check(p), p
 
 
-def test_fp_matrix_basics():
-    M = FpMatrix(5, ((1, 2), (3, 9)))
-    assert M.entries == ((1, 2), (3, 4))
-    assert M @ FpMatrix.identity(5, 2) == M
+def test_fp_matrix_basics(ctx5):
+    ring = ModH(ctx5)
+    M = RepMatrix(ring, ((1, 2), (3, 4)))
+    assert (M @ M).entries == ((2, 0), (0, 2))  # products reduce mod 5
+    assert M @ RepMatrix.identity(ring, 0) == M
     with pytest.raises(ValueError):
-        FpMatrix(5, ((1, 2), (3,)))
+        RepMatrix(ring, ((1, 2), (3,)))

@@ -1,8 +1,7 @@
 import pytest
 
-from torusrep.cyclotomic import exact_div, h_valuation, reduce_mod_h
+from torusrep.cyclotomic import Truncation, exact_div, h_valuation, reduce_mod_h
 from torusrep.rep import (
-    HDigitsMatrix,
     RepMatrix,
     a_entry,
     b_entry,
@@ -129,7 +128,7 @@ class TestMatrices:
         from fractions import Fraction
         from torusrep.cyclotomic import CycNum
         with pytest.raises(TypeError):
-            RepMatrix(ctx5, 1, ((CycNum(ctx5, (Fraction(1, 2), 0, 0, 0)),),))
+            RepMatrix(ctx5, ((CycNum(ctx5, (Fraction(1, 2), 0, 0, 0)),),))
 
     def test_truncation_commutes_with_product(self, qs):
         t = t_matrix(qs, 0)
@@ -150,13 +149,13 @@ class TestInvert:
         assert invert(t) == t ** (qs.ctx.p - 1)
 
     def test_non_unit_diagonal_rejected(self, ctx5):
-        M = RepMatrix(ctx5, ctx5.d - 1, ((ctx5.h,),))
+        M = RepMatrix(ctx5, ((ctx5.h,),))
         with pytest.raises(ValueError, match="unit"):
             invert(M)
 
     def test_non_triangular_rejected(self, ctx5):
         one = ctx5.one()
-        M = RepMatrix(ctx5, 0, ((one, one), (one, one)))
+        M = RepMatrix(ctx5, ((one, one), (one, one)))
         with pytest.raises(ValueError, match="triangular"):
             invert(M)
 
@@ -195,7 +194,7 @@ class TestWords:
     def test_digit_matrix_product(self, qs):
         got = eval_word(qs, "T", 0, 3) @ eval_word(qs, "S", 0, 3)
         assert got == eval_word(qs, "TS", 0, 3)
-        assert isinstance(got, HDigitsMatrix)
+        assert got.ring == Truncation(qs.ctx, 3)
 
 
 class TestRelations:
@@ -241,3 +240,58 @@ def test_c_out_of_range_is_rejected_at_the_boundary(entry, c):
     # p = 7, so d = 3 and the valid range is 0 <= c <= 2
     with pytest.raises(ValueError, match="0 <= c <= 2"):
         _c_entry_points()[entry](c)
+
+
+def _error_paths():
+    from torusrep.cyclotomic import PrimeContext, truncate
+    from torusrep.qint import scalars
+
+    ctx5, ctx7 = PrimeContext(5), PrimeContext(7)
+    t5 = lambda: t_matrix(scalars(ctx5), 0)  # 2x2
+    t7 = lambda c: t_matrix(scalars(ctx7), c)  # 3x3 at c = 0, 2x2 at c = 1
+    return {
+        "exact@Fp": lambda: t7(0) @ t7(0).reduce_mod_h(),
+        "N2@N3": lambda: t7(0).truncate(2) @ t7(0).truncate(3),
+        "exact@truncated": lambda: t7(0) @ t7(0).truncate(2),
+        "p5@p7": lambda: t5() @ t7(1),
+        "3x3@2x2": lambda: t7(0) @ t7(1),
+        "Fp**-1": lambda: t7(0).reduce_mod_h() ** -1,
+        "truncated**-1": lambda: t7(0).truncate(2) ** -1,
+        "non-square": lambda: RepMatrix(ctx7, ((ctx7.one(), ctx7.one()),)),
+        "HDigits N2*N3": lambda: truncate(ctx7.h, 2) * truncate(ctx7.h, 3),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_error_paths()))
+def test_mismatched_rings_sizes_and_inverses_raise(case):
+    with pytest.raises(ValueError):
+        _error_paths()[case]()
+
+
+@pytest.mark.parametrize("N", [*range(6), 8], ids=lambda N: f"N{N}")
+def test_truncated_letters_multiply_to_the_word(N):
+    """Truncate t, t* and their inverses first, then multiply in
+    Z[zeta_7]/(h^(N+1)); N = 8 >= p-1 reaches the digits with carries."""
+    from torusrep.cyclotomic import PrimeContext
+    from torusrep.qint import scalars
+
+    qs = scalars(PrimeContext(7))
+    t, s = t_matrix(qs, 0), tstar_matrix(qs, 0)
+    letters = {"T": t, "S": s, "t": invert(t), "s": invert(s)}
+    assert t.truncate(N).is_upper_triangular() and s.truncate(N).is_lower_triangular()
+    word = "TSstTTsS"
+    acc = RepMatrix.identity(qs.ctx, 0).truncate(N)
+    for ch in word:
+        acc = acc @ letters[ch].truncate(N)
+    assert acc == eval_word(qs, word, 0, N)
+
+
+def test_mod_h_reduction_is_the_first_digit():
+    """F_p and the N = 0 truncation are the same ring."""
+    from torusrep.cyclotomic import PrimeContext
+    from torusrep.qint import scalars
+
+    qs = scalars(PrimeContext(7))
+    for M in (t_matrix(qs, 0), tstar_matrix(qs, 0)):
+        digit0 = tuple(tuple(e.digits[0] for e in row) for row in M.truncate(0).entries)
+        assert M.reduce_mod_h().entries == digit0
