@@ -61,14 +61,8 @@ class RunConfig:
     max_p: int = 101
 
     def __post_init__(self):
+        # argparse checks the format, and eval_word the word and N
         _context(self.p, self.max_p).rank(self.c)
-        if self.N < 0:
-            raise ValueError("truncation depth must be >= 0")
-        bad = set(self.word) - set(WORD_ALPHABET)
-        if bad:
-            raise ValueError(f"word letters must be among {WORD_ALPHABET!r}: {sorted(bad)}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _mat_coeff_lists(M):
@@ -281,11 +275,11 @@ def main(argv=None) -> int:
             format=args.format,
             max_p=args.max_p,
         )
+        handler = {"matrices": cmd_matrices, "hadic": cmd_hadic, "fp": cmd_fp}[cfg.command]
+        sys.stdout.write(handler(cfg))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = {"matrices": cmd_matrices, "hadic": cmd_hadic, "fp": cmd_fp}[cfg.command]
-    sys.stdout.write(handler(cfg))
     return 0
 
 

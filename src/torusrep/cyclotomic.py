@@ -83,22 +83,9 @@ class PrimeContext:
 
     def product(self, a, b):
         """The product of two square matrices over Z[zeta_p], given as rows
-        of CycNum entries; terms with a zero factor are skipped."""
-        n = len(a)
+        of CycNum entries; each entry is one dot of a row with a column."""
         cols = tuple(zip(*b))
-        rows = []
-        for i in range(n):
-            ri = a[i]
-            row = []
-            for j in range(n):
-                cj = cols[j]
-                acc = self.zero()
-                for k in range(n):
-                    if ri[k] and cj[k]:
-                        acc = acc + ri[k] * cj[k]
-                row.append(acc)
-            rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(tuple(dot(self, zip(row, col)) for col in cols) for row in a)
 
 
 class CycNum:
@@ -156,16 +143,7 @@ class CycNum:
         other = _coerce(self.ctx, other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.ctx.p
-        a, b = self.nums, other.nums
-        # convolve, folding exponents mod p (zeta^p = 1)
-        acc = [0] * p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[(i + j) % p] += ai * bj
-        return _fold(self.ctx, acc)
+        return dot(self.ctx, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -205,6 +183,21 @@ def _fold(ctx: PrimeContext, acc) -> CycNum:
     eliminate zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
     top = acc[-1]
     return CycNum(ctx, tuple(a - top for a in acc[:-1]))
+
+
+def dot(ctx: PrimeContext, pairs) -> CycNum:
+    """The sum of x * y over pairs of CycNum values, every product convolved
+    into one unreduced list with exponents mod p (zeta^p = 1) and reduced
+    once: the one place where coefficients of two elements are multiplied."""
+    p = ctx.p
+    acc = [0] * p
+    for x, y in pairs:
+        b = [(j, bj) for j, bj in enumerate(y.nums) if bj]
+        for i, ai in enumerate(x.nums):
+            if ai:
+                for j, bj in b:
+                    acc[(i + j) % p] += ai * bj
+    return _fold(ctx, acc)
 
 
 def _conjugate(y: CycNum, k: int) -> CycNum:

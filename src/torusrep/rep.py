@@ -30,6 +30,7 @@ from .cyclotomic import (
     ModH,
     PrimeContext,
     Truncation,
+    dot,
     exact_div,
     reduce_mod_h,
     truncate,
@@ -135,8 +136,9 @@ def norm_Qprime(qs: QScalars, n: int, c: int) -> CycNum:
     q^(-c(c+1)/2) * {2c+2n+1}!! * {2c+n+1}+! / {n}! * ({c}_q!)^2 / ({1}_q {2c}_q!)
 
     Integral, with h-adic valuation exactly c."""
-    if not 0 <= n <= qs.ctx.d - c - 1:
-        raise ValueError(f"need 0 <= n <= {qs.ctx.d - c - 1}")
+    rank = qs.ctx.rank(c)
+    if not 0 <= n < rank:
+        raise ValueError(f"need 0 <= n <= {rank - 1}")
     num = (
         qs.ctx.zeta_pow(-(c * (c + 1)) // 2)
         * qs.brace_dfact(2 * c + 2 * n + 1)
@@ -156,8 +158,9 @@ def norm_Q(qs: QScalars, n: int, c: int) -> CycNum:
 
     q^(-c(c+1)/2) * {n}! * {2c+2n+1}!! * {2c+n+1}+! * ({c}_q!)^2 / ({1}_q {2c}_q!)
     """
-    if not 0 <= n <= qs.ctx.d - c - 1:
-        raise ValueError(f"need 0 <= n <= {qs.ctx.d - c - 1}")
+    rank = qs.ctx.rank(c)
+    if not 0 <= n < rank:
+        raise ValueError(f"need 0 <= n <= {rank - 1}")
     num = (
         qs.ctx.zeta_pow(-(c * (c + 1)) // 2)
         * qs.brace_fact(n)
@@ -177,9 +180,9 @@ def ratio_R(qs: QScalars, n: int, m: int, c: int) -> CycNum:
     """R_{n,m} = {m}!{2c+2n+1}!!{2c+n+1}+! / ({n}!{2c+2m+1}!!{2c+m+1}+!),
     the unit relating adjoint entries: a_{m,n} = R_{n,m} b_{n,m}.  Equals
     norm_Qprime(n,c)/norm_Qprime(m,c)."""
-    d = qs.ctx.d
-    if not (0 <= m <= d - c - 1 and 0 <= n <= d - c - 1):
-        raise ValueError(f"need indices in 0..{d - c - 1}")
+    rank = qs.ctx.rank(c)
+    if not (0 <= m < rank and 0 <= n < rank):
+        raise ValueError(f"need indices in 0..{rank - 1}")
     num = qs.brace_fact(m) * qs.brace_dfact(2 * c + 2 * n + 1) * qs.brace_plus_fact(2 * c + n + 1)
     den = qs.brace_fact(n) * qs.brace_dfact(2 * c + 2 * m + 1) * qs.brace_plus_fact(2 * c + m + 1)
     val = exact_div(num, den)
@@ -194,7 +197,7 @@ def b_term(qs: QScalars, n: int, m: int, l: int, c: int) -> CycNum:
         C^l_{l+n-m, m+c} * gamma_{l+n-m} / {l+n-m}! * {n}!/{m}!
 
     Integral with h-adic valuation exactly l."""
-    if not (0 <= m <= n <= qs.ctx.d - c - 1 and 0 <= l <= m + c):
+    if not (0 <= m <= n < qs.ctx.rank(c) and 0 <= l <= m + c):
         raise ValueError("need 0 <= m <= n <= d-c-1 and 0 <= l <= m+c")
     num = C_closed(qs, l, l + n - m, m + c) * qs.gamma_m(l + n - m) * qs.brace_fact(n)
     den = qs.brace_fact(l + n - m) * qs.brace_fact(m)
@@ -207,6 +210,7 @@ def b_term(qs: QScalars, n: int, m: int, l: int, c: int) -> CycNum:
 @lru_cache(maxsize=None)
 def b_entry(qs: QScalars, n: int, m: int, c: int) -> CycNum:
     """Entry (n, m) of the t* matrix; zero above the diagonal (m > n)."""
+    qs.ctx.rank(c)  # the range check of c, also for the zeros
     if m > n:
         return qs.ctx.zero()
     acc = qs.ctx.zero()
@@ -218,7 +222,7 @@ def b_entry(qs: QScalars, n: int, m: int, c: int) -> CycNum:
 def a_entry(qs: QScalars, m: int, n: int, c: int) -> CycNum:
     """Entry (m, n) of the t matrix: R_{n,m} * b_{n,m}; zero for m > n."""
     if m > n:
-        return qs.ctx.zero()
+        return b_entry(qs, n, m, c)  # zero, after b_entry has checked c
     return ratio_R(qs, n, m, c) * b_entry(qs, n, m, c)
 
 
@@ -266,7 +270,7 @@ def tstar_oracle(qs: QScalars, c: int) -> RepMatrix:
 
 def invert(M: RepMatrix) -> RepMatrix:
     """Exact inverse of a triangular matrix over Z[zeta_p] whose diagonal
-    entries are units, by back substitution."""
+    entries are units, by back substitution with one dot per entry."""
     if not isinstance(M.ring, PrimeContext):
         raise ValueError("only a matrix over Z[zeta_p] is inverted")
     if M.is_lower_triangular() and not M.is_upper_triangular():
@@ -285,9 +289,7 @@ def invert(M: RepMatrix) -> RepMatrix:
     for i in range(n - 1, -1, -1):
         X[i][i] = dinv[i]
         for j in range(i + 1, n):
-            acc = zero
-            for k in range(i + 1, j + 1):
-                acc = acc + M.entries[i][k] * X[k][j]
+            acc = dot(ctx, ((M.entries[i][k], X[k][j]) for k in range(i + 1, j + 1)))
             X[i][j] = -(dinv[i] * acc)
     return RepMatrix(ctx, X)
 
@@ -304,6 +306,8 @@ def eval_word(qs: QScalars, word: str, c: int, N: int | None = None):
     truncation is a ring homomorphism, this agrees with digitwise
     arithmetic at every level.
     """
+    if N is not None and N < 0:
+        raise ValueError("truncation order must be >= 0")
     bad = set(word) - set(WORD_ALPHABET)
     if bad:
         raise ValueError(f"word letters must be in {WORD_ALPHABET!r}, got {sorted(bad)}")

@@ -20,19 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, PrimeContext, exact_div
+from .cyclotomic import CycNum, PrimeContext, dot, exact_div
 from .qint import QScalars
 
 
 def _poly_mul(a, b):
     ctx = a[0].ctx
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
+    return tuple(
+        dot(ctx, ((ai, b[k - i]) for i, ai in enumerate(a) if 0 <= k - i < len(b)))
+        for k in range(len(a) + len(b) - 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +42,16 @@ def q_poly_monomial(qs: QScalars, n: int, c: int) -> tuple[CycNum, ...]:
     for i in range(c, c + n):
         coeffs = _poly_mul(coeffs, (-qs.lambda_i(i), qs.ctx.one()))
     return coeffs
+
+
+def _assemble_from_Qc(qs: QScalars, coeffs, c: int) -> tuple[CycNum, ...]:
+    """The monomial-basis polynomial sum_n coeffs[n] * Q_{n,c}(z).  Q_{n,c}
+    has degree n, so coefficient i is one dot over the terms n >= i."""
+    basis = [q_poly_monomial(qs, n, c) for n in range(len(coeffs))]
+    return tuple(
+        dot(qs.ctx, ((x, q[i]) for x, q in zip(coeffs[i:], basis[i:])))
+        for i in range(len(coeffs))
+    )
 
 
 def expand_in_Qc(qs: QScalars, poly, c: int) -> tuple[CycNum, ...]:
@@ -87,25 +94,18 @@ class QPoly:
 
     @classmethod
     def unit(cls, ctx: PrimeContext, c: int, n: int) -> "QPoly":
-        rank = ctx.d - c
+        rank = ctx.rank(c)
         return cls(ctx, c, tuple(ctx.one() if i == n else ctx.zero() for i in range(rank)))
 
 
 def multiply_mod(qs: QScalars, x: QPoly, y) -> QPoly:
     """Multiply x by a monomial-basis polynomial y inside the quotient:
     expand the product over {Q_{n,c}} and discard every Q_{n,c} with
-    n >= d-c (those vanish in the module)."""
+    n >= d-c (those vanish in the module).  x is first assembled into one
+    monomial-basis polynomial, so there is a single product."""
     ctx, c = x.ctx, x.c
-    rank = ctx.d - c
-    prod = [ctx.zero()]
-    for n, xn in enumerate(x.coeffs):
-        if xn:
-            term = _poly_mul(q_poly_monomial(qs, n, c), tuple(y))
-            term = [xn * t for t in term]
-            if len(term) > len(prod):
-                prod, term = term, prod
-            for i, t in enumerate(term):
-                prod[i] = prod[i] + t
+    rank = ctx.rank(c)
+    prod = _poly_mul(_assemble_from_Qc(qs, x.coeffs, c), tuple(y))
     expanded = expand_in_Qc(qs, prod, c)
     kept = list(expanded[:rank]) + [ctx.zero()] * (rank - min(rank, len(expanded)))
     return QPoly(ctx, c, tuple(kept))
@@ -202,10 +202,4 @@ def omega_plus_unprimed(qs: QScalars) -> tuple[CycNum, ...]:
 def omega_plus_poly(qs: QScalars) -> tuple[CycNum, ...]:
     """D * omega_+ as a monomial-basis polynomial in z, degree d-1, with
     D = {d-1}! as in omega_plus_unprimed."""
-    ctx = qs.ctx
-    out = [ctx.zero()] * ctx.d
-    for m, coeff in enumerate(omega_plus_unprimed(qs)):
-        qm = q_poly_monomial(qs, m, 0)
-        for i, a in enumerate(qm):
-            out[i] = out[i] + coeff * a
-    return tuple(out)
+    return _assemble_from_Qc(qs, omega_plus_unprimed(qs), 0)

@@ -8,6 +8,7 @@ from torusrep.cyclotomic import (
     CycNum,
     HDigits,
     PrimeContext,
+    dot,
     exact_div,
     h_valuation,
     is_associate,
@@ -146,6 +147,36 @@ def test_exact_div_of_integers_is_integer_division(a, b, p):
         assert got is None
     else:
         assert got == ctx.from_int(a // b)
+
+
+def _dot_oracle(pairs, p):
+    """sum x*y by schoolbook products of the coefficient polynomials in
+    zeta, then long division by Phi_p = 1 + zeta + ... + zeta^(p-1)."""
+    total = [0] * (2 * p - 3)
+    for x, y in pairs:
+        for i, a in enumerate(x.nums):
+            for j, b in enumerate(y.nums):
+                total[i + j] += a * b
+    for k in range(len(total) - 1, p - 2, -1):
+        top = total[k]  # subtract top * zeta^(k-p+1) * Phi_p
+        for i in range(k - p + 1, k + 1):
+            total[i] -= top
+    return tuple(total[:p - 1])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dot_matches_schoolbook_products_reduced_by_phi(p):
+    ctx = PrimeContext(p)
+    assert dot(ctx, []) == ctx.zero()
+    assert dot(ctx, [(ctx.zero(), ctx.h), (ctx.h, ctx.zero())]) == ctx.zero()
+    elements = st.one_of(st.just(ctx.zero()), small_cycnums(p))
+
+    @given(pairs=st.lists(st.tuples(elements, elements), max_size=4))
+    def check(pairs):
+        got = dot(ctx, pairs)
+        assert got.nums == _dot_oracle(pairs, p)
+
+    check()
 
 
 def test_h_valuation_basics(ctx):

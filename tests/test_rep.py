@@ -185,6 +185,8 @@ class TestWords:
     def test_malformed_word(self, qs5):
         with pytest.raises(ValueError):
             eval_word(qs5, "TSX", 0)
+        with pytest.raises(ValueError, match="truncation order"):
+            eval_word(qs5, "TS", 0, -1)
 
     def test_truncated_word_matches_exact(self, qs):
         for N in (0, 2):
@@ -231,6 +233,12 @@ def _c_entry_points():
         "rho0_matrices": lambda c: rho0_matrices(ctx, c),
         "phi_matrix": lambda c: phi_matrix(ctx, c),
         "RunConfig": lambda c: RunConfig("matrices", 7, c),
+        "norm_Qprime": lambda c: norm_Qprime(qs, 0, c),
+        "norm_Q": lambda c: norm_Q(qs, 0, c),
+        "ratio_R": lambda c: ratio_R(qs, 0, 0, c),
+        "b_term": lambda c: b_term(qs, 0, 0, 0, c),
+        "b_entry": lambda c: b_entry(qs, 0, 0, c),
+        "a_entry": lambda c: a_entry(qs, 0, 0, c),
     }
 
 
