@@ -147,6 +147,11 @@ GOLDEN_STDOUT = {
         "6c40e9426e2b9f8068b083cff66b50e7730271ca078e9c3ecf5ba3ca25dcda0a",
     "verify --p 5 --p 7":
         "0e9eaf5ad08bb785dbded977d7056fd87268173899d6f771435c1b15b09a4f25",
+    # past the p <= 13 grid, where the closed forms divide the largest brackets
+    "matrices --p 31 --c 2":
+        "970d30d6385b5d8d14756b8d7398e25ad248966dd32f92d97e008e4b82a68ea1",
+    "matrices --p 43 --c 0":
+        "8b837e6383a8350914c3cc14b891afe5d77db1c97f78485b2316f6aacf5531fc",
 }
 
 
