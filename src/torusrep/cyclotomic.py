@@ -7,13 +7,21 @@ Z[zeta_p] is the full ring of integers of Q(zeta_p), and every object of the
 package lives in it, so no denominators are ever carried.
 
 The element h = 1 - zeta generates the unique prime ideal above p, with
-(h)^(p-1) = (p).  Exact division goes through the Galois norm: y times the
-product of its other conjugates sigma_k(y), each a permutation of
-coefficients, is the integer N(y), so x/y is x times that cofactor divided
-by N(y), and exists exactly when every coefficient is divisible.  The same
-division by h (N(h) = p) gives the h-adic valuations and the truncated digit
-expansions: the finite rings Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the
-field F_p via zeta -> 1.
+(h)^(p-1) = (p), and every 1 - zeta^k with p not dividing k is an associate
+of h.  Division takes one of two routes:
+
+- mul_factored multiplies by a Factored, a unit +-zeta^e times a ratio of
+  such factors 1 - zeta^k, at O(p) integer operations per factor.  Every
+  quantum bracket has this form, so the closed forms of the package divide
+  this way, and so does the division by h behind the h-adic valuations and
+  the truncated digit expansions: the finite rings Z[zeta_p]/(h^(N+1)),
+  whose N = 0 layer is the field F_p via zeta -> 1.
+- exact_div divides by any nonzero y through the Galois norm: y times the
+  product of its other conjugates sigma_k(y), each a permutation of
+  coefficients, is the integer N(y), so x/y is x times that cofactor divided
+  by N(y), and exists exactly when every coefficient is divisible.  It is
+  the general division (unit inverses, associates) and the test oracle of
+  the factored route.
 """
 
 from __future__ import annotations
@@ -235,6 +243,84 @@ def exact_div(x: CycNum, y: CycNum) -> CycNum | None:
     return CycNum(x.ctx, quot)
 
 
+class Factored:
+    """sign * zeta^e * prod_{k in up}(1 - zeta^k) / prod_{k in down}(1 - zeta^k),
+    an element of Q(zeta_p) kept as its factors for any p.  A factor with
+    p | k is 0, so one in up makes the value 0 and one in down has no value.
+    Products and quotients only concatenate the lists."""
+
+    __slots__ = ("sign", "e", "up", "down")
+
+    def __init__(self, sign: int = 1, e: int = 0, up: tuple[int, ...] = (),
+                 down: tuple[int, ...] = ()):
+        self.sign, self.e, self.up, self.down = sign, e, up, down
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        return Factored(self.sign * other.sign, self.e + other.e,
+                        self.up + other.up, self.down + other.down)
+
+    def __truediv__(self, other: "Factored") -> "Factored":
+        return Factored(self.sign * other.sign, self.e - other.e,
+                        self.up + other.down, self.down + other.up)
+
+
+def factored_product(factors) -> Factored:
+    """The product of an iterable of Factored values."""
+    sign, e, up, down = 1, 0, [], []
+    for f in factors:
+        sign *= f.sign
+        e += f.e
+        up += f.up
+        down += f.down
+    return Factored(sign, e, tuple(up), tuple(down))
+
+
+def mul_factored(x: CycNum, f: Factored) -> CycNum | None:
+    """x * f when that lies in Z[zeta_p]; None when it does not.
+
+    Works on the p coefficients of x over 1, zeta, ..., zeta^(p-1), where
+    multiplying by 1 - zeta^k is y_j = x_j - x_(j-k).  Dividing by it needs
+    p | s, s the coefficient sum (the test h | x), and walks the cycle
+    j -> j+k once with y_(j+k) = y_j + x_(j+k) - s/p.  Every factor costs
+    O(p); the list is reduced once at the end.  All multiplications come
+    first: each 1 - zeta^k is an associate of h, so every division on the
+    way is exact when the whole quotient is.  A divisor factor with p | k
+    raises ZeroDivisionError; it is never cancelled against the numerator.
+    """
+    p = x.ctx.p
+    net = [0] * p  # multiplicity of 1 - zeta^k, k mod p, after cancelling
+    for k in f.down:
+        if k % p == 0:
+            raise ZeroDivisionError("divisor factor 1 - zeta^0 = 0")
+        net[k % p] -= 1
+    for k in f.up:
+        net[k % p] += 1
+    e = f.e % p
+    acc = [0] * p
+    for i, a in enumerate(x.nums):
+        acc[(i + e) % p] = f.sign * a
+    for k, n in enumerate(net):
+        for _ in range(n):
+            acc = [a - b for a, b in zip(acc, acc[-k:] + acc[:-k])]
+    for k, n in enumerate(net):
+        if n < 0:
+            cycle = [i * k % p for i in range(1, p)]
+        for _ in range(-n):
+            s, r = divmod(sum(acc), p)
+            if r:
+                return None
+            y, run = [0] * p, 0
+            for j in cycle:
+                run += acc[j] - s
+                y[j] = run
+            acc = y
+    return _fold(x.ctx, acc)
+
+
+#: 1/h = 1/(1 - zeta), the division of the h-adic digit expansions
+_OVER_H = Factored(down=(1,))
+
+
 def h_valuation(x: CycNum):
     """The h-adic valuation of x (math.inf for 0).
 
@@ -243,12 +329,11 @@ def h_valuation(x: CycNum):
     """
     if not x:
         return math.inf
-    h = x.ctx.h
     v = 0
-    x = exact_div(x, h)
+    x = mul_factored(x, _OVER_H)
     while x is not None:
         v += 1
-        x = exact_div(x, h)
+        x = mul_factored(x, _OVER_H)
     return v
 
 
@@ -290,6 +375,8 @@ class HDigits:
         """The canonical integral representative sum(d_i * h^i)."""
         if ctx is None:
             ctx = PrimeContext(self.p)
+        if ctx.p != self.p:
+            raise ValueError(f"digits mod h for p={self.p}, lifted to p={ctx.p}")
         h = ctx.h
         acc, hpow = ctx.zero(), ctx.one()
         for di in self.digits:
@@ -320,12 +407,11 @@ def truncate(x: CycNum, N: int) -> HDigits:
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    h = x.ctx.h
     digits = []
     for _ in range(N + 1):
         d = reduce_mod_h(x)
         digits.append(d)
-        x = exact_div(x - d, h)
+        x = mul_factored(x - d, _OVER_H)
         assert x is not None  # x - (x mod h) is divisible by h
     return HDigits(x.ctx.p, tuple(digits))
 

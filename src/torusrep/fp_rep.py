@@ -94,6 +94,8 @@ def poly_action(p: int, g, D: int) -> RepMatrix:
     """The matrix of g in SL(2,F_p) acting on homogeneous polynomials of
     degree D, basis x^(D-n) y^n:  g . x^m y^n = (ax+cy)^m (bx+dy)^n."""
     (a, b), (c, d) = g
+    if D < 0:
+        raise ValueError(f"need degree D >= 0, got {D}")
     if (a * d - b * c) % p != 1:
         raise ValueError("g must have determinant 1 mod p")
     size = D + 1

@@ -11,13 +11,26 @@ together with their factorials and double factorials.  On top of these live
 the eigenvalues lambda_i = -q^(i+1) - q^(-i-1) of the core curve, the twist
 eigenvalues mu_k = (-1)^k * A^(k(k+2)), and the positive-twist coefficients
 gamma_m, which are algebraic-integer units.
+
+Every bracket is a unit times factors 1 - zeta^k, each an associate of h
+(or 0, when p | k).  With s = d+1, so that zeta^s = -A squares to q,
+
+    {n}      = -zeta^(-ns) (1 - zeta^n)
+    {n}+     =  zeta^(-ns) (1 - zeta^(2n)) / (1 - zeta^n)     (p not | n)
+    {n}_q    = -zeta^(-n)  (1 - zeta^(2n))
+    A^j - 1  = -(1 - zeta^j) / (1 - zeta^(js))                (j odd, p not | j)
+
+The *_factors methods give these, and the factorials built from them, as
+Factored values, so a closed-form quotient of brackets is one mul_factored
+at O(p) per factor.  The CycNum factorials brace_fact, ... are the plain
+products of the brackets, the oracle the factor lists are tested against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CycNum, PrimeContext, exact_div
+from .cyclotomic import CycNum, Factored, PrimeContext, factored_product, mul_factored
 
 
 class QScalars:
@@ -43,30 +56,21 @@ class QScalars:
 
         self._lambda = [-(qpow[(i + 1) % p] + qpow[-(i + 1) % p]) for i in range(p)]
 
-        limit = 2 * p  # comfortably past every factorial argument in use
-        self._brace_fact = self._cumulative(self.brace, limit, step=1)
-        self._brace_plus_fact = self._cumulative(self.brace_plus, limit, step=1)
-        self._brace_q_fact = self._cumulative(self.brace_q, limit, step=1)
-        self._brace_dfact = self._cumulative(self.brace, limit, step=2)
-        self._brace_plus_dfact = self._cumulative(self.brace_plus, limit, step=2)
+        # The factorials as factor lists for every argument below p, which
+        # covers the closed forms ({p}+ has no factor form).
+        self._brace_fact = self._cumulative(self.brace_factors, p - 1, step=1)
+        self._brace_dfact = self._cumulative(self.brace_factors, p - 1, step=2)
+        self._brace_plus_fact = self._cumulative(self.brace_plus_factors, p - 1, step=1)
+        self._brace_q_fact = self._cumulative(self.brace_q_factors, p - 1, step=1)
 
         self._gamma = [self._gamma_value(m) for m in range(d)]
-
-    def _cumulative(self, term, limit, step):
-        table = [self.ctx.one()] * (limit + 1)
-        for n in range(1, limit + 1):
-            prev = table[n - step] if n >= step else self.ctx.one()
-            table[n] = term(n) * prev
-        return table
 
     def _gamma_value(self, m: int) -> CycNum:
         e = m * (m + 5)
         assert e % 2 == 0
-        num = self.ctx.zeta_pow((e // 2) * (self.ctx.d + 1))  # (-A)^(e/2)
-        den = self.ctx.one()
-        for k in range(1, m + 1):
-            den = den * (self.A_pow(2 * k + 1) - 1)
-        value = exact_div(num, den)
+        num = Factored(e=(e // 2) * (self.ctx.d + 1))  # (-A)^(e/2)
+        den = factored_product(self.A_pow_minus_one_factors(2 * k + 1) for k in range(1, m + 1))
+        value = mul_factored(self.ctx.one(), num / den)
         if value is None:
             raise ArithmeticError(f"gamma_{m} failed integrality at p={self.ctx.p}")
         return value
@@ -93,34 +97,84 @@ class QScalars:
 
     def brace_fact(self, n: int) -> CycNum:
         """{n}! = {n}{n-1}...{1}."""
-        return self._lookup(self._brace_fact, self.brace, n, step=1)
+        return self._product(self.brace, n, step=1)
 
     def brace_plus_fact(self, n: int) -> CycNum:
         """{n}+! = {n}+{n-1}+...{1}+."""
-        return self._lookup(self._brace_plus_fact, self.brace_plus, n, step=1)
+        return self._product(self.brace_plus, n, step=1)
 
     def brace_q_fact(self, n: int) -> CycNum:
         """{n}_q! = {n}_q{n-1}_q...{1}_q."""
-        return self._lookup(self._brace_q_fact, self.brace_q, n, step=1)
+        return self._product(self.brace_q, n, step=1)
 
     def brace_dfact(self, n: int) -> CycNum:
         """{n}!! = {n}{n-2}..., ending in {2} or {1}."""
-        return self._lookup(self._brace_dfact, self.brace, n, step=2)
+        return self._product(self.brace, n, step=2)
 
     def brace_plus_dfact(self, n: int) -> CycNum:
         """{n}+!! = {n}+{n-2}+..., ending in {2}+ or {1}+."""
-        return self._lookup(self._brace_plus_dfact, self.brace_plus, n, step=2)
+        return self._product(self.brace_plus, n, step=2)
 
-    def _lookup(self, table, term, n, step):
+    def _product(self, term, n, step):
         if n < 0:
             return self.ctx.zero()
+        acc = self.ctx.one()
+        for k in range(n, 0, -step):
+            acc = acc * term(k)
+        return acc
+
+    # The brackets as Factored values (see the module docstring).
+
+    def brace_factors(self, n: int) -> Factored:
+        """{n} = -zeta^(-n(d+1)) (1 - zeta^n), for every n."""
+        return Factored(-1, -n * (self.ctx.d + 1), (n,))
+
+    def brace_plus_factors(self, n: int) -> Factored:
+        """{n}+ = zeta^(-n(d+1)) (1 - zeta^(2n)) / (1 - zeta^n), for p not
+        dividing n ({p}+ = 2 is no unit times such factors)."""
+        if n % self.ctx.p == 0:
+            raise ValueError(f"{{n}}+ has no factor form for p | n, got n={n}")
+        return Factored(1, -n * (self.ctx.d + 1), (2 * n,), (n,))
+
+    def brace_q_factors(self, n: int) -> Factored:
+        """{n}_q = -zeta^(-n) (1 - zeta^(2n)), for every n."""
+        return Factored(-1, -n, (2 * n,))
+
+    def A_pow_minus_one_factors(self, j: int) -> Factored:
+        """A^j - 1 = -(1 - zeta^j) / (1 - zeta^(j(d+1))), for odd j prime to p."""
+        if j % 2 == 0 or j % self.ctx.p == 0:
+            raise ValueError(f"need odd j prime to p={self.ctx.p}, got j={j}")
+        return Factored(-1, 0, (j,), (j * (self.ctx.d + 1),))
+
+    def brace_fact_factors(self, n: int) -> Factored:
+        """{n}! as one factor list."""
+        return self._fact_factors(self._brace_fact, self.brace_factors, n, step=1)
+
+    def brace_plus_fact_factors(self, n: int) -> Factored:
+        """{n}+! as one factor list, for n < p."""
+        return self._fact_factors(self._brace_plus_fact, self.brace_plus_factors, n, step=1)
+
+    def brace_q_fact_factors(self, n: int) -> Factored:
+        """{n}_q! as one factor list."""
+        return self._fact_factors(self._brace_q_fact, self.brace_q_factors, n, step=1)
+
+    def brace_dfact_factors(self, n: int) -> Factored:
+        """{n}!! as one factor list."""
+        return self._fact_factors(self._brace_dfact, self.brace_factors, n, step=2)
+
+    def _fact_factors(self, table, term, n, step):
+        if n < 0:
+            return Factored(up=(0,))  # 1 - zeta^0 = 0, as for the CycNum factorials
         if n < len(table):
             return table[n]
-        acc = self.ctx.one()
-        while n > 0:
-            acc = acc * term(n)
-            n -= step
-        return acc
+        return factored_product(term(k) for k in range(n, 0, -step))
+
+    @staticmethod
+    def _cumulative(term, limit, step):
+        table = [Factored()] * (limit + 1)
+        for n in range(1, limit + 1):
+            table[n] = term(n) * table[max(n - step, 0)]
+        return table
 
     def lambda_i(self, i: int) -> CycNum:
         """lambda_i = -q^(i+1) - q^(-i-1), the curve eigenvalue on color i."""

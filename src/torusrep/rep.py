@@ -27,11 +27,13 @@ from functools import lru_cache
 
 from .cyclotomic import (
     CycNum,
+    Factored,
     ModH,
     PrimeContext,
     Truncation,
     dot,
     exact_div,
+    mul_factored,
     reduce_mod_h,
     truncate,
 )
@@ -139,14 +141,15 @@ def norm_Qprime(qs: QScalars, n: int, c: int) -> CycNum:
     rank = qs.ctx.rank(c)
     if not 0 <= n < rank:
         raise ValueError(f"need 0 <= n <= {rank - 1}")
+    cq = qs.brace_q_fact_factors(c)
     num = (
-        qs.ctx.zeta_pow(-(c * (c + 1)) // 2)
-        * qs.brace_dfact(2 * c + 2 * n + 1)
-        * qs.brace_plus_fact(2 * c + n + 1)
-        * qs.brace_q_fact(c) ** 2
+        Factored(e=-(c * (c + 1)) // 2)
+        * qs.brace_dfact_factors(2 * c + 2 * n + 1)
+        * qs.brace_plus_fact_factors(2 * c + n + 1)
+        * cq * cq
     )
-    den = qs.brace_fact(n) * qs.brace_q(1) * qs.brace_q_fact(2 * c)
-    val = exact_div(num, den)
+    den = qs.brace_fact_factors(n) * qs.brace_q_factors(1) * qs.brace_q_fact_factors(2 * c)
+    val = mul_factored(qs.ctx.one(), num / den)
     if val is None:
         raise ArithmeticError(f"norm of Q'_{n} (c={c}) not integral at p={qs.ctx.p}")
     return val
@@ -161,15 +164,16 @@ def norm_Q(qs: QScalars, n: int, c: int) -> CycNum:
     rank = qs.ctx.rank(c)
     if not 0 <= n < rank:
         raise ValueError(f"need 0 <= n <= {rank - 1}")
+    cq = qs.brace_q_fact_factors(c)
     num = (
-        qs.ctx.zeta_pow(-(c * (c + 1)) // 2)
-        * qs.brace_fact(n)
-        * qs.brace_dfact(2 * c + 2 * n + 1)
-        * qs.brace_plus_fact(2 * c + n + 1)
-        * qs.brace_q_fact(c) ** 2
+        Factored(e=-(c * (c + 1)) // 2)
+        * qs.brace_fact_factors(n)
+        * qs.brace_dfact_factors(2 * c + 2 * n + 1)
+        * qs.brace_plus_fact_factors(2 * c + n + 1)
+        * cq * cq
     )
-    den = qs.brace_q(1) * qs.brace_q_fact(2 * c)
-    val = exact_div(num, den)
+    den = qs.brace_q_factors(1) * qs.brace_q_fact_factors(2 * c)
+    val = mul_factored(qs.ctx.one(), num / den)
     if val is None:
         raise ArithmeticError(f"norm of Q_{n} (c={c}) not integral at p={qs.ctx.p}")
     return val
@@ -183,9 +187,11 @@ def ratio_R(qs: QScalars, n: int, m: int, c: int) -> CycNum:
     rank = qs.ctx.rank(c)
     if not (0 <= m < rank and 0 <= n < rank):
         raise ValueError(f"need indices in 0..{rank - 1}")
-    num = qs.brace_fact(m) * qs.brace_dfact(2 * c + 2 * n + 1) * qs.brace_plus_fact(2 * c + n + 1)
-    den = qs.brace_fact(n) * qs.brace_dfact(2 * c + 2 * m + 1) * qs.brace_plus_fact(2 * c + m + 1)
-    val = exact_div(num, den)
+    num = (qs.brace_fact_factors(m) * qs.brace_dfact_factors(2 * c + 2 * n + 1)
+           * qs.brace_plus_fact_factors(2 * c + n + 1))
+    den = (qs.brace_fact_factors(n) * qs.brace_dfact_factors(2 * c + 2 * m + 1)
+           * qs.brace_plus_fact_factors(2 * c + m + 1))
+    val = mul_factored(qs.ctx.one(), num / den)
     if val is None:
         raise ArithmeticError(f"R_({n},{m}) (c={c}) not integral at p={qs.ctx.p}")
     return val
@@ -199,9 +205,9 @@ def b_term(qs: QScalars, n: int, m: int, l: int, c: int) -> CycNum:
     Integral with h-adic valuation exactly l."""
     if not (0 <= m <= n < qs.ctx.rank(c) and 0 <= l <= m + c):
         raise ValueError("need 0 <= m <= n <= d-c-1 and 0 <= l <= m+c")
-    num = C_closed(qs, l, l + n - m, m + c) * qs.gamma_m(l + n - m) * qs.brace_fact(n)
-    den = qs.brace_fact(l + n - m) * qs.brace_fact(m)
-    val = exact_div(num, den)
+    num = C_closed(qs, l, l + n - m, m + c) * qs.gamma_m(l + n - m)
+    f = qs.brace_fact_factors
+    val = mul_factored(num, f(n) / (f(l + n - m) * f(m)))
     if val is None:
         raise ArithmeticError(f"b-term (n={n},m={m},l={l},c={c}) not integral")
     return val
@@ -253,13 +259,13 @@ def tstar_oracle(qs: QScalars, c: int) -> RepMatrix:
     ctx = qs.ctx
     rank = ctx.rank(c)
     omega = omega_plus_poly(qs)  # D * omega_+, D = {d-1}!
-    scale = qs.brace_fact(ctx.d - 1)
+    f = qs.brace_fact_factors
     cols = []
     for m in range(rank):
         image = multiply_mod(qs, QPoly.unit(ctx, c, m), omega)
         # t*(Q'_m) = (Q_{m,c} * omega_+)/{m}! = sum_n coeff_n {n}!/({m}! D) Q'_n
-        den = qs.brace_fact(m) * scale
-        col = [exact_div(image.coeffs[n] * qs.brace_fact(n), den) for n in range(rank)]
+        den = f(m) * f(ctx.d - 1)
+        col = [mul_factored(image.coeffs[n], f(n) / den) for n in range(rank)]
         if None in col:
             raise ArithmeticError(f"t* oracle column {m} (c={c}) not integral at p={ctx.p}")
         cols.append(col)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, PrimeContext, dot, exact_div
+from .cyclotomic import CycNum, Factored, PrimeContext, dot, factored_product, mul_factored
 from .qint import QScalars
 
 
@@ -62,6 +62,8 @@ def expand_in_Qc(qs: QScalars, poly, c: int) -> tuple[CycNum, ...]:
     q_poly_monomial.
     """
     coeffs = list(poly)
+    if not coeffs:
+        raise ValueError("need at least the constant coefficient")
     out = []
     stage = 0
     while len(coeffs) > 1:
@@ -116,22 +118,17 @@ def C_closed(qs: QScalars, l: int, m: int, n: int) -> CycNum:
     """Structure constant C^l_{m,n} = (-1)^l {m}!{n}!{m+n+1}! /
     ({m-l}!{n-l}!{m+n+1-l}!{l}!).
 
-    Evaluated as a product of the three length-l falling slices divided once
-    by {l}! -- same value, but no intermediate quotient, so the boundary
-    cases where a full factorial vanishes stay well defined.
+    Evaluated as the three length-l falling slices of brackets over {l}!,
+    one factor list -- same value, but no intermediate quotient, so the
+    boundary cases where a full factorial vanishes stay well defined.
     """
     if not (0 <= l <= min(m, n)) or m >= qs.ctx.p or n >= qs.ctx.p:
         raise ValueError(f"C^{l}_({m},{n}) out of range for p={qs.ctx.p}")
-    num = qs.ctx.one()
-    for j in range(m - l + 1, m + 1):
-        num = num * qs.brace(j)
-    for j in range(n - l + 1, n + 1):
-        num = num * qs.brace(j)
-    for j in range(m + n + 2 - l, m + n + 2):
-        num = num * qs.brace(j)
-    if l % 2:
-        num = -num
-    val = exact_div(num, qs.brace_fact(l))
+    slices = factored_product(
+        qs.brace_factors(j) for top in (m, n, m + n + 1) for j in range(top - l + 1, top + 1)
+    )
+    ratio = Factored(sign=(-1) ** l) * slices / qs.brace_fact_factors(l)
+    val = mul_factored(qs.ctx.one(), ratio)
     if val is None:
         raise ArithmeticError(f"C^{l}_({m},{n}) is not integral at p={qs.ctx.p}")
     return val

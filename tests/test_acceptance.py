@@ -2,12 +2,15 @@
 
 Every criterion runs over the full grid p in {5, 7, 11, 13}, all
 0 <= c <= d-1, with exact equality in Z[zeta_p] or F_p (no tolerances
-anywhere).  Each test prints a single PASS/FAIL line for its criterion, so
+anywhere).  A slow-marked tier repeats the core criteria at
+p in {17, 19, 23, 29, 31}.  Each test prints a single PASS/FAIL line for its criterion, so
 `pytest -v -s tests/test_acceptance.py` doubles as a readable report.
 """
 
 import math
 import random
+
+import pytest
 
 from torusrep.cyclotomic import CycNum, PrimeContext, h_valuation, truncate
 from torusrep.fp_rep import (
@@ -191,3 +194,23 @@ def test_c14_hadic_soundness():
         ok &= digits[p - 1] != 0
         ok &= h_valuation(ctx.from_int(p)) == p - 1
     check("14. truncation is a ring homomorphism; p has digits only from h^(p-1)", ok)
+
+
+#: c on the wider tier: every c up to p = 23, then the middle of each of
+#: three equal bands of 0..d-1 (the colors the benchmark's matrices use)
+WIDE_COLORS = {17: range(8), 19: range(9), 23: range(11), 29: (2, 7, 11), 31: (2, 7, 12)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", sorted(WIDE_COLORS))
+def test_c15_wider_primes(p):
+    qs = scalars(PrimeContext(p))
+    ok = True
+    for c in WIDE_COLORS[p]:
+        t, s = t_matrix(qs, c), tstar_matrix(qs, c)
+        mu = tuple(qs.mu_k(c + n) for n in range(qs.ctx.d - c))
+        ok &= t @ s @ t == s @ t @ s
+        ok &= s == tstar_oracle(qs, c)
+        ok &= t.diagonal() == mu and s.diagonal() == mu
+        ok &= verify_intertwine(qs.ctx, c)
+    check(f"15. p={p}: braid relation, t* oracle, twist spectrum, intertwiner", ok)

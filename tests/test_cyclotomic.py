@@ -6,12 +6,14 @@ from hypothesis import given, assume, strategies as st
 
 from torusrep.cyclotomic import (
     CycNum,
+    Factored,
     HDigits,
     PrimeContext,
     dot,
     exact_div,
     h_valuation,
     is_associate,
+    mul_factored,
     reduce_mod_h,
     truncate,
 )
@@ -179,6 +181,44 @@ def test_dot_matches_schoolbook_products_reduced_by_phi(p):
     check()
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_mul_factored_matches_exact_div_and_products(p):
+    """The O(p) factored route against the norm route: x * f equals
+    exact_div of x times the up factors, multiplied out one by one, by the
+    product of the down factors; k runs over all residues, 0 included."""
+    ctx = PrimeContext(p)
+    factor = lambda k: ctx.one() - ctx.zeta_pow(k)
+    ks = st.lists(st.integers(-2 * p, 2 * p), max_size=4)
+    branches = set()
+
+    @given(x=small_cycnums(p), v=st.integers(0, 3), up=ks, down=ks,
+           e=st.integers(-2 * p, 2 * p), sign=st.sampled_from([1, -1]))
+    def check(x, v, up, down, e, sign):
+        x = x * ctx.h ** v  # so that some divisions come out integral
+        f = Factored(sign, e, tuple(up), tuple(down))
+        if any(k % p == 0 for k in down):
+            with pytest.raises(ZeroDivisionError):
+                mul_factored(x, f)
+            branches.add("zero divisor")
+            return
+        num = sign * ctx.zeta_pow(e) * x
+        for k in up:
+            num = num * factor(k)
+        den = ctx.one()
+        for k in down:
+            den = den * factor(k)
+        got = mul_factored(x, f)
+        assert got == exact_div(num, den)
+        if any(k % p == 0 for k in up):
+            assert got == ctx.zero()
+            branches.add("zero numerator")
+        else:
+            branches.add(got is None)
+
+    check()
+    assert branches == {True, False, "zero divisor", "zero numerator"}
+
+
 def test_h_valuation_basics(ctx):
     assert h_valuation(ctx.zero()) == math.inf
     assert h_valuation(ctx.h) == 1
@@ -244,6 +284,8 @@ def test_hdigits_validation():
         HDigits(5, (5, 0))  # digit out of range
     with pytest.raises(ValueError):
         HDigits(5, ())
+    with pytest.raises(ValueError):
+        HDigits(5, (1, 2)).lift(PrimeContext(7))  # digits mod h for another p
 
 
 def test_reduce_mod_h(ctx):

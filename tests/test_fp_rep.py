@@ -98,6 +98,8 @@ def test_poly_action_generators(ctx):
 def test_poly_action_rejects_bad_det(ctx5):
     with pytest.raises(ValueError):
         poly_action(5, ((2, 0), (0, 2)), 2)
+    with pytest.raises(ValueError):
+        poly_action(7, SL2_T, -1)  # no polynomials of negative degree
 
 
 def test_poly_action_multiplicative(ctx):

@@ -1,6 +1,14 @@
 import pytest
 
-from torusrep.cyclotomic import exact_div, h_valuation, is_associate, reduce_mod_h
+from torusrep.cyclotomic import (
+    PrimeContext,
+    exact_div,
+    h_valuation,
+    is_associate,
+    mul_factored,
+    reduce_mod_h,
+)
+from torusrep.qint import scalars
 
 
 def test_A_is_primitive_2pth_root(qs):
@@ -61,6 +69,45 @@ def test_brace_valuations(qs):
         assert h_valuation(qs.brace_fact(n)) == n
 
 
+def _multiplied_out(ctx, f):
+    """(numerator, denominator) of a Factored as plain products, no division."""
+    num = f.sign * ctx.zeta_pow(f.e)
+    for k in f.up:
+        num = num * (1 - ctx.zeta_pow(k))
+    den = ctx.one()
+    for k in f.down:
+        den = den * (1 - ctx.zeta_pow(k))
+    return num, den
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_bracket_factorizations_multiply_back(p):
+    qs = scalars(PrimeContext(p))
+
+    def agree(f, value):
+        num, den = _multiplied_out(qs.ctx, f)
+        return num == value * den and mul_factored(qs.ctx.one(), f) == value
+
+    for n in range(1, 2 * p):
+        if n % p:
+            assert agree(qs.brace_factors(n), qs.brace(n))
+            assert agree(qs.brace_plus_factors(n), qs.brace_plus(n))
+            assert agree(qs.brace_q_factors(n), qs.brace_q(n))
+    for j in range(1, p - 1, 2):
+        assert agree(qs.A_pow_minus_one_factors(j), qs.A_pow(j) - 1)
+    # factorials: 0 below 0, the eager tables below p, plain products above
+    for n in range(-2, p + 3):
+        assert agree(qs.brace_fact_factors(n), qs.brace_fact(n))
+        assert agree(qs.brace_dfact_factors(n), qs.brace_dfact(n))
+        assert agree(qs.brace_q_fact_factors(n), qs.brace_q_fact(n))
+    for n in range(-2, p):
+        assert agree(qs.brace_plus_fact_factors(n), qs.brace_plus_fact(n))
+    with pytest.raises(ValueError):
+        qs.brace_plus_factors(p)  # {p}+ = 2
+    with pytest.raises(ValueError):
+        qs.A_pow_minus_one_factors(2)
+
+
 def test_brace_quotient_reduces_to_n(qs):
     """The exact quotient {n}/{1} lies in Z[zeta_p] and reduces to n mod p."""
     for n in range(1, qs.ctx.p):
@@ -101,10 +148,14 @@ def test_mu_frozen_p5(qs5):
 
 def test_gamma_units(qs):
     assert qs.gamma_m(0) == qs.ctx.one()
+    den = qs.ctx.one()  # prod_{k=1}^m (A^(2k+1) - 1)
     for m in range(qs.ctx.d):
         g = qs.gamma_m(m)
         assert h_valuation(g) == 0
         assert is_associate(g, qs.ctx.one())
+        if m:
+            den = den * (qs.A_pow(2 * m + 1) - 1)
+        assert g * den == (-qs.A) ** ((m * m + 5 * m) // 2)
 
 
 def test_gamma_reduction(qs):

@@ -29,6 +29,8 @@ def test_monomial_small_cases(qs):
 def test_monomial_range_check(qs):
     with pytest.raises(ValueError):
         q_poly_monomial(qs, qs.ctx.p + 1, 0)
+    with pytest.raises(ValueError):
+        expand_in_Qc(qs, (), 0)  # the empty polynomial has no coefficients
 
 
 def test_expand_round_trip(qs):
