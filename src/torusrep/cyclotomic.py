@@ -264,17 +264,6 @@ class Factored:
                         self.up + other.down, self.down + other.up)
 
 
-def factored_product(factors) -> Factored:
-    """The product of an iterable of Factored values."""
-    sign, e, up, down = 1, 0, [], []
-    for f in factors:
-        sign *= f.sign
-        e += f.e
-        up += f.up
-        down += f.down
-    return Factored(sign, e, tuple(up), tuple(down))
-
-
 def mul_factored(x: CycNum, f: Factored) -> CycNum | None:
     """x * f when that lies in Z[zeta_p]; None when it does not.
 

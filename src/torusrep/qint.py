@@ -28,9 +28,10 @@ products of the brackets, the oracle the factor lists are tested against.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .cyclotomic import CycNum, Factored, PrimeContext, factored_product, mul_factored
+from .cyclotomic import CycNum, Factored, PrimeContext, mul_factored
 
 
 class QScalars:
@@ -56,20 +57,14 @@ class QScalars:
 
         self._lambda = [-(qpow[(i + 1) % p] + qpow[-(i + 1) % p]) for i in range(p)]
 
-        # The factorials as factor lists for every argument below p, which
-        # covers the closed forms ({p}+ has no factor form).
-        self._brace_fact = self._cumulative(self.brace_factors, p - 1, step=1)
-        self._brace_dfact = self._cumulative(self.brace_factors, p - 1, step=2)
-        self._brace_plus_fact = self._cumulative(self.brace_plus_factors, p - 1, step=1)
-        self._brace_q_fact = self._cumulative(self.brace_q_factors, p - 1, step=1)
-
         self._gamma = [self._gamma_value(m) for m in range(d)]
 
     def _gamma_value(self, m: int) -> CycNum:
         e = m * (m + 5)
         assert e % 2 == 0
         num = Factored(e=(e // 2) * (self.ctx.d + 1))  # (-A)^(e/2)
-        den = factored_product(self.A_pow_minus_one_factors(2 * k + 1) for k in range(1, m + 1))
+        den = math.prod((self.A_pow_minus_one_factors(2 * k + 1) for k in range(1, m + 1)),
+                        start=Factored())
         value = mul_factored(self.ctx.one(), num / den)
         if value is None:
             raise ArithmeticError(f"gamma_{m} failed integrality at p={self.ctx.p}")
@@ -148,33 +143,25 @@ class QScalars:
 
     def brace_fact_factors(self, n: int) -> Factored:
         """{n}! as one factor list."""
-        return self._fact_factors(self._brace_fact, self.brace_factors, n, step=1)
+        return self._fact_factors(self.brace_factors, n, step=1)
 
     def brace_plus_fact_factors(self, n: int) -> Factored:
         """{n}+! as one factor list, for n < p."""
-        return self._fact_factors(self._brace_plus_fact, self.brace_plus_factors, n, step=1)
+        return self._fact_factors(self.brace_plus_factors, n, step=1)
 
     def brace_q_fact_factors(self, n: int) -> Factored:
         """{n}_q! as one factor list."""
-        return self._fact_factors(self._brace_q_fact, self.brace_q_factors, n, step=1)
+        return self._fact_factors(self.brace_q_factors, n, step=1)
 
     def brace_dfact_factors(self, n: int) -> Factored:
         """{n}!! as one factor list."""
-        return self._fact_factors(self._brace_dfact, self.brace_factors, n, step=2)
-
-    def _fact_factors(self, table, term, n, step):
-        if n < 0:
-            return Factored(up=(0,))  # 1 - zeta^0 = 0, as for the CycNum factorials
-        if n < len(table):
-            return table[n]
-        return factored_product(term(k) for k in range(n, 0, -step))
+        return self._fact_factors(self.brace_factors, n, step=2)
 
     @staticmethod
-    def _cumulative(term, limit, step):
-        table = [Factored()] * (limit + 1)
-        for n in range(1, limit + 1):
-            table[n] = term(n) * table[max(n - step, 0)]
-        return table
+    def _fact_factors(term, n, step):
+        if n < 0:
+            return Factored(up=(0,))  # 1 - zeta^0 = 0, as for the CycNum factorials
+        return math.prod((term(k) for k in range(n, 0, -step)), start=Factored())
 
     def lambda_i(self, i: int) -> CycNum:
         """lambda_i = -q^(i+1) - q^(-i-1), the curve eigenvalue on color i."""

@@ -17,10 +17,11 @@ independent oracle for the twist matrices built elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, Factored, PrimeContext, dot, factored_product, mul_factored
+from .cyclotomic import CycNum, Factored, PrimeContext, dot, mul_factored
 from .qint import QScalars
 
 
@@ -124,8 +125,9 @@ def C_closed(qs: QScalars, l: int, m: int, n: int) -> CycNum:
     """
     if not (0 <= l <= min(m, n)) or m >= qs.ctx.p or n >= qs.ctx.p:
         raise ValueError(f"C^{l}_({m},{n}) out of range for p={qs.ctx.p}")
-    slices = factored_product(
-        qs.brace_factors(j) for top in (m, n, m + n + 1) for j in range(top - l + 1, top + 1)
+    slices = math.prod(
+        (qs.brace_factors(j) for top in (m, n, m + n + 1) for j in range(top - l + 1, top + 1)),
+        start=Factored(),
     )
     ratio = Factored(sign=(-1) ** l) * slices / qs.brace_fact_factors(l)
     val = mul_factored(qs.ctx.one(), ratio)

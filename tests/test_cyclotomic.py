@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, assume, strategies as st
+from hypothesis import example, given, assume, strategies as st
 
 from torusrep.cyclotomic import (
     CycNum,
@@ -185,7 +185,8 @@ def test_dot_matches_schoolbook_products_reduced_by_phi(p):
 def test_mul_factored_matches_exact_div_and_products(p):
     """The O(p) factored route against the norm route: x * f equals
     exact_div of x times the up factors, multiplied out one by one, by the
-    product of the down factors; k runs over all residues, 0 included."""
+    product of the down factors; k runs over all residues, 0 included.
+    The explicit examples reach each branch whatever the random draws."""
     ctx = PrimeContext(p)
     factor = lambda k: ctx.one() - ctx.zeta_pow(k)
     ks = st.lists(st.integers(-2 * p, 2 * p), max_size=4)
@@ -193,6 +194,10 @@ def test_mul_factored_matches_exact_div_and_products(p):
 
     @given(x=small_cycnums(p), v=st.integers(0, 3), up=ks, down=ks,
            e=st.integers(-2 * p, 2 * p), sign=st.sampled_from([1, -1]))
+    @example(x=ctx.one(), v=0, up=[2], down=[1], e=0, sign=1)  # integral
+    @example(x=ctx.one(), v=0, up=[], down=[1], e=0, sign=1)  # not integral
+    @example(x=ctx.one(), v=0, up=[p], down=[1], e=0, sign=1)  # zero numerator
+    @example(x=ctx.one(), v=0, up=[1], down=[-p], e=0, sign=1)  # zero divisor
     def check(x, v, up, down, e, sign):
         x = x * ctx.h ** v  # so that some divisions come out integral
         f = Factored(sign, e, tuple(up), tuple(down))

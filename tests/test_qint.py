@@ -95,7 +95,7 @@ def test_bracket_factorizations_multiply_back(p):
             assert agree(qs.brace_q_factors(n), qs.brace_q(n))
     for j in range(1, p - 1, 2):
         assert agree(qs.A_pow_minus_one_factors(j), qs.A_pow(j) - 1)
-    # factorials: 0 below 0, the eager tables below p, plain products above
+    # factorials, with the zero factor below 0
     for n in range(-2, p + 3):
         assert agree(qs.brace_fact_factors(n), qs.brace_fact(n))
         assert agree(qs.brace_dfact_factors(n), qs.brace_dfact(n))
