@@ -12,10 +12,11 @@ of h.  Division takes one of two routes:
 
 - mul_factored multiplies by a Factored, a unit +-zeta^e times a ratio of
   such factors 1 - zeta^k, at O(p) integer operations per factor.  Every
-  quantum bracket has this form, so the closed forms of the package divide
-  this way, and so does the division by h behind the h-adic valuations and
-  the truncated digit expansions: the finite rings Z[zeta_p]/(h^(N+1)),
-  whose N = 0 layer is the field F_p via zeta -> 1.
+  quantum bracket has this form, so every closed form of the package is
+  one factor list, evaluated by integral (mul_factored with the check that
+  the value is integral); so is the division by h behind the h-adic
+  valuations and the truncated digit expansions: the finite rings
+  Z[zeta_p]/(h^(N+1)), whose N = 0 layer is the field F_p via zeta -> 1.
 - exact_div divides by any nonzero y through the Galois norm: y times the
   product of its other conjugates sigma_k(y), each a permutation of
   coefficients, is the integer N(y), so x/y is x times that cofactor divided
@@ -116,13 +117,16 @@ class CycNum:
         return any(self.nums)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(self.ctx, other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            other = self.ctx.from_int(other)
+        elif not isinstance(other, CycNum):
             return NotImplemented
-        return self.nums == other.nums
+        # unequal, not an error, across rings: their int-valued elements share hashes
+        return self.ctx == other.ctx and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ctx.p, self.nums))
+        # an element equal to an int (nums[1:] all 0) hashes like that int
+        return hash(self.nums if any(self.nums[1:]) else self.nums[0])
 
     def __neg__(self) -> "CycNum":
         return CycNum(self.ctx, tuple(-n for n in self.nums))
@@ -306,6 +310,15 @@ def mul_factored(x: CycNum, f: Factored) -> CycNum | None:
     return _fold(x.ctx, acc)
 
 
+def integral(x: CycNum, f: Factored, what: str) -> CycNum:
+    """x * f, which the caller knows lies in Z[zeta_p] (every closed form of
+    the package is integral); ArithmeticError naming what when it does not."""
+    val = mul_factored(x, f)
+    if val is None:
+        raise ArithmeticError(f"{what} is not integral at p={x.ctx.p}")
+    return val
+
+
 #: 1/h = 1/(1 - zeta), the division of the h-adic digit expansions
 _OVER_H = Factored(down=(1,))
 
@@ -400,8 +413,7 @@ def truncate(x: CycNum, N: int) -> HDigits:
     for _ in range(N + 1):
         d = reduce_mod_h(x)
         digits.append(d)
-        x = mul_factored(x - d, _OVER_H)
-        assert x is not None  # x - (x mod h) is divisible by h
+        x = integral(x - d, _OVER_H, "(x - (x mod h))/h")
     return HDigits(x.ctx.p, tuple(digits))
 
 

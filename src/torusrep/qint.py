@@ -20,10 +20,11 @@ Every bracket is a unit times factors 1 - zeta^k, each an associate of h
     {n}_q    = -zeta^(-n)  (1 - zeta^(2n))
     A^j - 1  = -(1 - zeta^j) / (1 - zeta^(js))                (j odd, p not | j)
 
-The *_factors methods give these, and the factorials built from them, as
-Factored values, so a closed-form quotient of brackets is one mul_factored
-at O(p) per factor.  The CycNum factorials brace_fact, ... are the plain
-products of the brackets, the oracle the factor lists are tested against.
+The *_factors methods give these, the factorials built from them and gamma_m
+as Factored values, so a closed form in brackets is one factor list,
+evaluated by one integral call at O(p) per factor.  The CycNum factorials
+brace_fact, ... are the plain products of the brackets, the oracle the
+factor lists are tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclotomic import CycNum, Factored, PrimeContext, mul_factored
+from .cyclotomic import CycNum, Factored, PrimeContext, integral
 
 
 class QScalars:
@@ -56,19 +57,6 @@ class QScalars:
         self._brace_q = [qpow[r] - qpow[-r] for r in range(p)]
 
         self._lambda = [-(qpow[(i + 1) % p] + qpow[-(i + 1) % p]) for i in range(p)]
-
-        self._gamma = [self._gamma_value(m) for m in range(d)]
-
-    def _gamma_value(self, m: int) -> CycNum:
-        e = m * (m + 5)
-        assert e % 2 == 0
-        num = Factored(e=(e // 2) * (self.ctx.d + 1))  # (-A)^(e/2)
-        den = math.prod((self.A_pow_minus_one_factors(2 * k + 1) for k in range(1, m + 1)),
-                        start=Factored())
-        value = mul_factored(self.ctx.one(), num / den)
-        if value is None:
-            raise ArithmeticError(f"gamma_{m} failed integrality at p={self.ctx.p}")
-        return value
 
     def A_pow(self, k: int) -> CycNum:
         """A^k, using A = -q^(d+1)."""
@@ -163,6 +151,15 @@ class QScalars:
             return Factored(up=(0,))  # 1 - zeta^0 = 0, as for the CycNum factorials
         return math.prod((term(k) for k in range(n, 0, -step)), start=Factored())
 
+    def gamma_factors(self, m: int) -> Factored:
+        """gamma_m (see gamma_m) as one factor list."""
+        if not 0 <= m <= self.ctx.d - 1:
+            raise ValueError(f"gamma_m needs 0 <= m <= {self.ctx.d - 1}, got {m}")
+        num = Factored(e=(m * (m + 5) // 2) * (self.ctx.d + 1))  # (-A)^((m^2+5m)/2)
+        den = math.prod((self.A_pow_minus_one_factors(2 * k + 1) for k in range(1, m + 1)),
+                        start=Factored())
+        return num / den
+
     def lambda_i(self, i: int) -> CycNum:
         """lambda_i = -q^(i+1) - q^(-i-1), the curve eigenvalue on color i."""
         if i < 0:
@@ -179,11 +176,9 @@ class QScalars:
     def gamma_m(self, m: int) -> CycNum:
         """gamma_m = (-A)^((m^2+5m)/2) / prod_{k=1}^m (A^(2k+1) - 1).
 
-        Integral (checked at construction) and in fact a unit of Z[zeta_p].
+        Integral (checked on each call) and in fact a unit of Z[zeta_p].
         """
-        if not 0 <= m <= self.ctx.d - 1:
-            raise ValueError(f"gamma_m needs 0 <= m <= {self.ctx.d - 1}, got {m}")
-        return self._gamma[m]
+        return integral(self.ctx.one(), self.gamma_factors(m), f"gamma_{m}")
 
 
 @lru_cache(maxsize=None)

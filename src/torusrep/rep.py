@@ -8,9 +8,9 @@ triangularly and the longitudinal twist t* lower triangularly:
     t*(Q'_m) = sum_n b_{n,m} Q'_n      (matrix entry (n, m) = b_{n,m})
 
 with row index always written first.  The entries come in two independent
-ways: closed-form sums over quantum factorials (b_entry/a_entry, related by
-the adjointness ratio R), and multiplication by the twist element omega_+
-in the polynomial model (tstar_oracle).  Both land in Z[zeta_p].
+ways: sums of quantum-factorial factor lists (b_entry, and a_entry = R b),
+and multiplication by the twist element omega_+ in the polynomial model
+(tstar_oracle).  Both land in Z[zeta_p].
 
 RepMatrix is the one matrix type, over any of the three rings of the
 representation: Z[zeta_p], its h-adic truncations Z[zeta_p]/(h^(N+1)) (the
@@ -33,12 +33,12 @@ from .cyclotomic import (
     Truncation,
     dot,
     exact_div,
-    mul_factored,
+    integral,
     reduce_mod_h,
     truncate,
 )
 from .qint import QScalars
-from .skein_poly import C_closed, QPoly, multiply_mod, omega_plus_poly
+from .skein_poly import C_factors, QPoly, multiply_mod, omega_plus_poly
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,20 @@ class RepMatrix:
         return f"RepMatrix({self.ring!r},\n  {body})"
 
 
+def _check_indices(qs: QScalars, c: int, *indices: int) -> None:
+    """ValueError unless c is a color and every index lies in 0..d-c-1."""
+    rank = qs.ctx.rank(c)
+    if not all(0 <= i < rank for i in indices):
+        raise ValueError(f"need indices in 0..{rank - 1}, got {indices}")
+
+
 def norm_Qprime(qs: QScalars, n: int, c: int) -> CycNum:
     """The self-pairing of Q'_n on the module with boundary color 2c:
 
     q^(-c(c+1)/2) * {2c+2n+1}!! * {2c+n+1}+! / {n}! * ({c}_q!)^2 / ({1}_q {2c}_q!)
 
     Integral, with h-adic valuation exactly c."""
-    rank = qs.ctx.rank(c)
-    if not 0 <= n < rank:
-        raise ValueError(f"need 0 <= n <= {rank - 1}")
+    _check_indices(qs, c, n)
     cq = qs.brace_q_fact_factors(c)
     num = (
         Factored(e=-(c * (c + 1)) // 2)
@@ -149,10 +154,7 @@ def norm_Qprime(qs: QScalars, n: int, c: int) -> CycNum:
         * cq * cq
     )
     den = qs.brace_fact_factors(n) * qs.brace_q_factors(1) * qs.brace_q_fact_factors(2 * c)
-    val = mul_factored(qs.ctx.one(), num / den)
-    if val is None:
-        raise ArithmeticError(f"norm of Q'_{n} (c={c}) not integral at p={qs.ctx.p}")
-    return val
+    return integral(qs.ctx.one(), num / den, f"norm of Q'_{n} (c={c})")
 
 
 def norm_Q(qs: QScalars, n: int, c: int) -> CycNum:
@@ -161,9 +163,7 @@ def norm_Q(qs: QScalars, n: int, c: int) -> CycNum:
 
     q^(-c(c+1)/2) * {n}! * {2c+2n+1}!! * {2c+n+1}+! * ({c}_q!)^2 / ({1}_q {2c}_q!)
     """
-    rank = qs.ctx.rank(c)
-    if not 0 <= n < rank:
-        raise ValueError(f"need 0 <= n <= {rank - 1}")
+    _check_indices(qs, c, n)
     cq = qs.brace_q_fact_factors(c)
     num = (
         Factored(e=-(c * (c + 1)) // 2)
@@ -173,63 +173,55 @@ def norm_Q(qs: QScalars, n: int, c: int) -> CycNum:
         * cq * cq
     )
     den = qs.brace_q_factors(1) * qs.brace_q_fact_factors(2 * c)
-    val = mul_factored(qs.ctx.one(), num / den)
-    if val is None:
-        raise ArithmeticError(f"norm of Q_{n} (c={c}) not integral at p={qs.ctx.p}")
-    return val
+    return integral(qs.ctx.one(), num / den, f"norm of Q_{n} (c={c})")
 
 
-@lru_cache(maxsize=None)
-def ratio_R(qs: QScalars, n: int, m: int, c: int) -> CycNum:
-    """R_{n,m} = {m}!{2c+2n+1}!!{2c+n+1}+! / ({n}!{2c+2m+1}!!{2c+m+1}+!),
-    the unit relating adjoint entries: a_{m,n} = R_{n,m} b_{n,m}.  Equals
-    norm_Qprime(n,c)/norm_Qprime(m,c)."""
-    rank = qs.ctx.rank(c)
-    if not (0 <= m < rank and 0 <= n < rank):
-        raise ValueError(f"need indices in 0..{rank - 1}")
+def _R_factors(qs: QScalars, n: int, m: int, c: int) -> Factored:
+    """R_{n,m} (see ratio_R) as one factor list."""
     num = (qs.brace_fact_factors(m) * qs.brace_dfact_factors(2 * c + 2 * n + 1)
            * qs.brace_plus_fact_factors(2 * c + n + 1))
     den = (qs.brace_fact_factors(n) * qs.brace_dfact_factors(2 * c + 2 * m + 1)
            * qs.brace_plus_fact_factors(2 * c + m + 1))
-    val = mul_factored(qs.ctx.one(), num / den)
-    if val is None:
-        raise ArithmeticError(f"R_({n},{m}) (c={c}) not integral at p={qs.ctx.p}")
-    return val
+    return num / den
+
+
+def ratio_R(qs: QScalars, n: int, m: int, c: int) -> CycNum:
+    """R_{n,m} = {m}!{2c+2n+1}!!{2c+n+1}+! / ({n}!{2c+2m+1}!!{2c+m+1}+!),
+    the unit relating adjoint entries: a_{m,n} = R_{n,m} b_{n,m}.  Equals
+    norm_Qprime(n,c)/norm_Qprime(m,c)."""
+    _check_indices(qs, c, n, m)
+    return integral(qs.ctx.one(), _R_factors(qs, n, m, c), f"R_({n},{m}) (c={c})")
 
 
 def b_term(qs: QScalars, n: int, m: int, l: int, c: int) -> CycNum:
-    """Summand l of the t* entry b_{n,m}:
+    """Summand l of the t* entry b_{n,m}, with M = l+n-m:
 
-        C^l_{l+n-m, m+c} * gamma_{l+n-m} / {l+n-m}! * {n}!/{m}!
+        C^l_{M, m+c} * gamma_M / {M}! * {n}!/{m}!
 
-    Integral with h-adic valuation exactly l."""
+    One factor list; integral, with h-adic valuation exactly l."""
     if not (0 <= m <= n < qs.ctx.rank(c) and 0 <= l <= m + c):
         raise ValueError("need 0 <= m <= n <= d-c-1 and 0 <= l <= m+c")
-    num = C_closed(qs, l, l + n - m, m + c) * qs.gamma_m(l + n - m)
+    M = l + n - m
     f = qs.brace_fact_factors
-    val = mul_factored(num, f(n) / (f(l + n - m) * f(m)))
-    if val is None:
-        raise ArithmeticError(f"b-term (n={n},m={m},l={l},c={c}) not integral")
-    return val
+    terms = C_factors(qs, l, M, m + c) * qs.gamma_factors(M) * f(n) / (f(M) * f(m))
+    return integral(qs.ctx.one(), terms, f"b-term (n={n},m={m},l={l},c={c})")
 
 
 @lru_cache(maxsize=None)
 def b_entry(qs: QScalars, n: int, m: int, c: int) -> CycNum:
     """Entry (n, m) of the t* matrix; zero above the diagonal (m > n)."""
-    qs.ctx.rank(c)  # the range check of c, also for the zeros
+    _check_indices(qs, c, n, m)
     if m > n:
         return qs.ctx.zero()
-    acc = qs.ctx.zero()
-    for l in range(0, m + c + 1):
-        acc = acc + b_term(qs, n, m, l, c)
-    return acc
+    return sum((b_term(qs, n, m, l, c) for l in range(m + c + 1)), qs.ctx.zero())
 
 
 def a_entry(qs: QScalars, m: int, n: int, c: int) -> CycNum:
     """Entry (m, n) of the t matrix: R_{n,m} * b_{n,m}; zero for m > n."""
+    b = b_entry(qs, n, m, c)  # checks c and both indices
     if m > n:
-        return b_entry(qs, n, m, c)  # zero, after b_entry has checked c
-    return ratio_R(qs, n, m, c) * b_entry(qs, n, m, c)
+        return b
+    return integral(b, _R_factors(qs, n, m, c), f"a_({m},{n}) (c={c})")
 
 
 @lru_cache(maxsize=None)
@@ -265,13 +257,9 @@ def tstar_oracle(qs: QScalars, c: int) -> RepMatrix:
         image = multiply_mod(qs, QPoly.unit(ctx, c, m), omega)
         # t*(Q'_m) = (Q_{m,c} * omega_+)/{m}! = sum_n coeff_n {n}!/({m}! D) Q'_n
         den = f(m) * f(ctx.d - 1)
-        col = [mul_factored(image.coeffs[n], f(n) / den) for n in range(rank)]
-        if None in col:
-            raise ArithmeticError(f"t* oracle column {m} (c={c}) not integral at p={ctx.p}")
-        cols.append(col)
-    return RepMatrix(ctx, tuple(
-        tuple(cols[m][n] for m in range(rank)) for n in range(rank)
-    ))
+        cols.append([integral(image.coeffs[n], f(n) / den, f"t* oracle entry ({n},{m}) (c={c})")
+                     for n in range(rank)])
+    return RepMatrix(ctx, cols).transpose()
 
 
 def invert(M: RepMatrix) -> RepMatrix:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycNum, Factored, PrimeContext, dot, mul_factored
+from .cyclotomic import CycNum, Factored, PrimeContext, dot, integral
 from .qint import QScalars
 
 
@@ -98,6 +98,8 @@ class QPoly:
     @classmethod
     def unit(cls, ctx: PrimeContext, c: int, n: int) -> "QPoly":
         rank = ctx.rank(c)
+        if not 0 <= n < rank:
+            raise ValueError(f"need 0 <= n <= {rank - 1}, got {n}")
         return cls(ctx, c, tuple(ctx.one() if i == n else ctx.zero() for i in range(rank)))
 
 
@@ -114,14 +116,13 @@ def multiply_mod(qs: QScalars, x: QPoly, y) -> QPoly:
     return QPoly(ctx, c, tuple(kept))
 
 
-@lru_cache(maxsize=None)
-def C_closed(qs: QScalars, l: int, m: int, n: int) -> CycNum:
+def C_factors(qs: QScalars, l: int, m: int, n: int) -> Factored:
     """Structure constant C^l_{m,n} = (-1)^l {m}!{n}!{m+n+1}! /
-    ({m-l}!{n-l}!{m+n+1-l}!{l}!).
+    ({m-l}!{n-l}!{m+n+1-l}!{l}!) as one factor list.
 
-    Evaluated as the three length-l falling slices of brackets over {l}!,
-    one factor list -- same value, but no intermediate quotient, so the
-    boundary cases where a full factorial vanishes stay well defined.
+    The three length-l falling slices of brackets over {l}! -- same value,
+    but no intermediate quotient, so the boundary cases where a full
+    factorial vanishes stay well defined.
     """
     if not (0 <= l <= min(m, n)) or m >= qs.ctx.p or n >= qs.ctx.p:
         raise ValueError(f"C^{l}_({m},{n}) out of range for p={qs.ctx.p}")
@@ -129,11 +130,13 @@ def C_closed(qs: QScalars, l: int, m: int, n: int) -> CycNum:
         (qs.brace_factors(j) for top in (m, n, m + n + 1) for j in range(top - l + 1, top + 1)),
         start=Factored(),
     )
-    ratio = Factored(sign=(-1) ** l) * slices / qs.brace_fact_factors(l)
-    val = mul_factored(qs.ctx.one(), ratio)
-    if val is None:
-        raise ArithmeticError(f"C^{l}_({m},{n}) is not integral at p={qs.ctx.p}")
-    return val
+    return Factored(sign=(-1) ** l) * slices / qs.brace_fact_factors(l)
+
+
+@lru_cache(maxsize=None)
+def C_closed(qs: QScalars, l: int, m: int, n: int) -> CycNum:
+    """C^l_{m,n} in Z[zeta_p], from its factor list C_factors."""
+    return integral(qs.ctx.one(), C_factors(qs, l, m, n), f"C^{l}_({m},{n})")
 
 
 def C_recursive(qs: QScalars, l: int, m: int, n: int) -> CycNum:

@@ -12,6 +12,7 @@ from torusrep.cyclotomic import (
     dot,
     exact_div,
     h_valuation,
+    integral,
     is_associate,
     mul_factored,
     reduce_mod_h,
@@ -224,6 +225,20 @@ def test_mul_factored_matches_exact_div_and_products(p):
     assert branches == {True, False, "zero divisor", "zero numerator"}
 
 
+def test_integral_returns_the_quotient_or_names_what(ctx):
+    """integral is mul_factored with the None branch turned into an error
+    that names the value; a divisor factor 0 is not that error."""
+    h2 = ctx.h * ctx.h
+    assert integral(h2, Factored(down=(1,)), "h^2/h") == ctx.h
+    y = ctx.one() - ctx.zeta_pow(3)
+    f = Factored(-1, 2, (3,), (2,))
+    assert integral(y, f, "y f") == exact_div(-ctx.zeta_pow(2) * y * y, ctx.one() - ctx.zeta_pow(2))
+    with pytest.raises(ArithmeticError, match=f"1/h is not integral at p={ctx.p}"):
+        integral(ctx.one(), Factored(down=(1,)), "1/h")
+    with pytest.raises(ZeroDivisionError, match="1 - zeta\\^0"):
+        integral(ctx.one(), Factored(up=(ctx.p,), down=(ctx.p,)), "0/0")
+
+
 def test_h_valuation_basics(ctx):
     assert h_valuation(ctx.zero()) == math.inf
     assert h_valuation(ctx.h) == 1
@@ -313,6 +328,11 @@ def test_canonical_equality_and_hash(ctx5):
     a = CycNum(ctx5, (1, 2, 0, 0))
     b = ctx5.one() + 2 * ctx5.zeta_pow(1)
     assert a == b and hash(a) == hash(b)
+    # an element equal to an int hashes like it; elements of two rings differ
+    one = ctx5.one()
+    assert one == 1 and hash(one) == hash(1) and len({1, one}) == 1
+    assert ctx5.from_int(-7) == -7 and hash(ctx5.from_int(-7)) == hash(-7)
+    assert one != PrimeContext(7).one() and len({one, PrimeContext(7).one(), 1}) == 2
     assert CycNum(ctx5, (0, 0, 0, 0)) == ctx5.zero()
     # zeta^4 is stored reduced, so both spellings of it compare equal
     assert ctx5.zeta_pow(4) == -(ctx5.one() + ctx5.zeta_pow(1) + ctx5.zeta_pow(2) + ctx5.zeta_pow(3))

@@ -1,6 +1,7 @@
 import pytest
 
 from torusrep.cyclotomic import Truncation, exact_div, h_valuation, reduce_mod_h
+from torusrep.skein_poly import C_closed
 from torusrep.rep import (
     RepMatrix,
     a_entry,
@@ -76,6 +77,36 @@ class TestEntries:
     def test_zero_above_diagonal(self, qs):
         assert not b_entry(qs, 0, qs.ctx.d - 1, 0)
         assert not a_entry(qs, qs.ctx.d - 1, 0, 0)
+
+    def test_index_range_check(self, qs):
+        """Indices outside 0..d-c-1 raise, also where the entry would be 0."""
+        rank = qs.ctx.d  # c = 0
+        for n, m in ((5, 100), (100, 50), (-1, -1), (rank, 0), (0, rank), (-1, 0)):
+            with pytest.raises(ValueError, match="indices"):
+                b_entry(qs, n, m, 0)
+            with pytest.raises(ValueError, match="indices"):
+                a_entry(qs, m, n, 0)
+
+    def test_b_term_against_dense_product(self, qs):
+        """b_term * {M}! * {m}! = C^l_{M,m+c} * gamma_M * {n}!, M = l+n-m:
+        the one factor list against the dense values, with no division."""
+        f = qs.brace_fact
+        d = qs.ctx.d
+        for c in range(d):
+            for n in range(d - c):
+                for m in range(n + 1):
+                    for l in range(m + c + 1):
+                        M = l + n - m
+                        want = C_closed(qs, l, M, m + c) * qs.gamma_m(M) * f(n)
+                        assert b_term(qs, n, m, l, c) * f(M) * f(m) == want
+
+    def test_a_entry_is_ratio_times_b_entry(self, qs):
+        d = qs.ctx.d
+        for c in range(d):
+            for n in range(d - c):
+                for m in range(d - c):
+                    want = ratio_R(qs, n, m, c) * b_entry(qs, n, m, c)
+                    assert a_entry(qs, m, n, c) == want
 
     def test_term_valuation_small(self, qs5):
         d = qs5.ctx.d

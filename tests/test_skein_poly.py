@@ -31,6 +31,9 @@ def test_monomial_range_check(qs):
         q_poly_monomial(qs, qs.ctx.p + 1, 0)
     with pytest.raises(ValueError):
         expand_in_Qc(qs, (), 0)  # the empty polynomial has no coefficients
+    for n in (-1, qs.ctx.rank(0)):  # the basis of the c = 0 module is Q_0..Q_{d-1}
+        with pytest.raises(ValueError):
+            QPoly.unit(qs.ctx, 0, n)
 
 
 def test_expand_round_trip(qs):
